@@ -1,13 +1,26 @@
 """Primitive free elements with free inverses in GF(q^n)/GF(q): search and
 certification via exact arithmetic, character-sum bounds and sieve criteria."""
 
-from .arith import Factorization, W, c_bound, check_primorial_bound, factor, moebius, omega, phi, radical
+from .arith import (
+    Factorization,
+    PartialFactorization,
+    W,
+    c_bound,
+    check_primorial_bound,
+    factor,
+    factor_cyclotomic,
+    moebius,
+    omega,
+    phi,
+    radical,
+)
 from .charsum import ComplexVal, MulChar, N_formula, add_char_f_order, canonical_add_char, gauss, kloosterman
 from .errors import (
     BudgetExceeded,
     DenominatorNonPositive,
     DivisionByZero,
     FactorTimeout,
+    InvalidArgument,
     NonPositiveDelta,
     NotADivisor,
     NotIrreducible,

@@ -14,20 +14,27 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FactorTimeout
+from .errors import FactorTimeout, NotPrime
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (covers everything below 2^64 and then some).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the twelve prime bases 2..37 is deterministic below
+# psi_12 = 318665857834031151167461 (Sorenson and Webster 2015), which covers
+# everything below 2^64.  Above that bound is_prime adds a strong Lucas test,
+# making it the Baillie-PSW test, for which no counterexample is known; primes
+# above the bound are probable primes, and certificates say so.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+DETERMINISTIC_PRIME_BOUND = 318665857834031151167461
 
-_TRIAL_LIMIT = 10**6
+# Trial division covers every candidate below TRIAL_BOUND, so a cofactor left
+# after it has no prime factor below TRIAL_BOUND.
+TRIAL_BOUND = 10**6
+DEFAULT_EFFORT = 2_000_000
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic below 2^64, 40 extra rounds above."""
+    """Primality test: deterministic below DETERMINISTIC_PRIME_BOUND, BPSW above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -46,14 +53,64 @@ def is_prime(n: int) -> bool:
                 return True
         return False
 
-    if not all(witness_passes(a) for a in _MR_WITNESSES):
+    if not all(witness_passes(a) for a in _MR_BASES):
         return False
-    if n >= 1 << 64:
-        rng = random.Random(n)
-        for _ in range(40):
-            if not witness_passes(rng.randrange(2, n - 1)):
-                return False
-    return True
+    return n < DETERMINISTIC_PRIME_BOUND or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 37, Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1, P = 1
+    and Q = (1 - D)/4.  With n + 1 = d 2^s, n passes if U_d = 0 or
+    V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:  # no D with (D/n) = -1 exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def halve(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # binary ladder for U_d, V_d and Q^d, from U_1 = 1, V_1 = P
+    U, V, Qk = 1, P, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = halve(P * U + V), halve(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n: int, effort: int) -> int:
@@ -106,10 +163,14 @@ class Factorization:
         prod = 1
         prev = 1
         for p, e in self.factors:
-            assert e >= 1 and p > prev and is_prime(p)
+            if e < 1 or p <= prev:
+                raise ValueError(f"{self.factors} is not a list of increasing primes with positive exponents")
+            if not is_prime(p):
+                raise NotPrime(f"{p} is not prime")
             prev = p
             prod *= p**e
-        assert prod == self.value
+        if prod != self.value:
+            raise ValueError(f"the factors multiply to {prod}, not {self.value}")
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -138,28 +199,137 @@ class Factorization:
         return sorted(ds)
 
 
-@functools.lru_cache(maxsize=None)
-def factor(n: int, effort: int = 2_000_000) -> Factorization:
-    """Factor n >= 1 by trial division then Pollard-rho with Brent cycles."""
-    if n < 1:
-        raise ValueError("factor() needs n >= 1")
-    m = n
-    fs: dict[int, int] = {}
-    for p in range(2, _TRIAL_LIMIT):
-        if p * p > m:
-            break
-        while m % p == 0:
-            fs[p] = fs.get(p, 0) + 1
-            m //= p
+def _split(m: int, effort: int, fs: dict[int, int]) -> list[int]:
+    """Split m into primes, counted into fs, with Brent's rho.
+
+    Returns the composite parts that resisted `effort` rho iterations each.
+    """
+    resisted = []
     stack = [m] if m > 1 else []
     while stack:
         c = stack.pop()
         if is_prime(c):
             fs[c] = fs.get(c, 0) + 1
             continue
-        d = _pollard_brent(c, effort)
+        try:
+            d = _pollard_brent(c, effort)
+        except FactorTimeout:
+            resisted.append(c)
+            continue
         stack += [d, c // d]
+    return resisted
+
+
+@functools.lru_cache(maxsize=None)
+def factor(n: int, effort: int = DEFAULT_EFFORT) -> Factorization:
+    """Factor n >= 1 by trial division then Pollard-rho with Brent cycles."""
+    if n < 1:
+        raise ValueError("factor() needs n >= 1")
+    m = n
+    fs: dict[int, int] = {}
+    for p in range(2, TRIAL_BOUND):
+        if p * p > m:
+            break
+        while m % p == 0:
+            fs[p] = fs.get(p, 0) + 1
+            m //= p
+    resisted = _split(m, effort, fs)
+    if resisted:
+        raise FactorTimeout(f"no factor of {resisted[0]} within effort budget {effort}")
     return Factorization(n, tuple(sorted(fs.items())))
+
+
+def omega_bound(c: int) -> int:
+    """Upper bound on omega(c) for c with no prime factor below TRIAL_BOUND.
+
+    Such a c is a product of omega(c) or more factors of at least
+    TRIAL_BOUND, so omega(c) <= k for the largest k with TRIAL_BOUND^k <= c.
+    """
+    k, power = 0, TRIAL_BOUND
+    while power <= c:
+        power *= TRIAL_BOUND
+        k += 1
+    return k
+
+
+@dataclass(frozen=True)
+class PartialFactorization:
+    """value = found.value * prod(cofactors).
+
+    Each cofactor is a composite that resisted the rho budget after trial
+    division, so it has no prime factor below TRIAL_BOUND.
+    """
+
+    value: int
+    found: Factorization
+    cofactors: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.found.value * self.cofactor != self.value:
+            raise ValueError(f"the parts multiply to {self.found.value * self.cofactor}, not {self.value}")
+        for c in self.cofactors:
+            if c < TRIAL_BOUND**2 or is_prime(c):
+                raise ValueError(f"cofactor {c} is not a composite beyond the trial bound")
+
+    @property
+    def cofactor(self) -> int:
+        return math.prod(self.cofactors)
+
+
+def cyclotomic_value(q: int, d: int) -> int:
+    """Phi_d(q) = prod over e | d of (q^e - 1)^moebius(d/e), for q >= 2."""
+    num = den = 1
+    for e in divisors(d):
+        mu = moebius(d // e)
+        if mu == 1:
+            num *= q**e - 1
+        elif mu == -1:
+            den *= q**e - 1
+    return num // den
+
+
+@functools.lru_cache(maxsize=None)
+def factor_cyclotomic(q: int, d: int, effort: int = DEFAULT_EFFORT) -> PartialFactorization:
+    """Factor Phi_d(q), the d-th piece of q^n - 1 = prod over d | n of Phi_d(q).
+
+    A prime p not dividing d divides Phi_d(q) only if q has order d mod p,
+    so p = 1 (mod d).  After the primes of d are stripped, trial division
+    tries only such candidates below TRIAL_BOUND (odd ones for d > 2); one
+    that divides what is left is prime, since its own prime factors are
+    smaller candidates and were stripped before it.  Brent's rho splits the
+    rest, `effort` iterations per composite; a part that resists is kept as a
+    cofactor rather than failing the piece.
+    """
+    if q < 2 or d < 1:
+        raise ValueError("factor_cyclotomic() needs q >= 2 and d >= 1")
+    value = cyclotomic_value(q, d)
+    m = value
+    fs: dict[int, int] = {}
+    for p in factor(d).primes:
+        while m % p == 0:
+            fs[p] = fs.get(p, 0) + 1
+            m //= p
+    if d == 1:
+        p, step = 2, 1
+    else:
+        step = d if d % 2 == 0 else 2 * d
+        p = 1 + step
+    while p < TRIAL_BOUND and p * p <= m:
+        while m % p == 0:
+            fs[p] = fs.get(p, 0) + 1
+            m //= p
+        p += step
+    resisted = _split(m, effort, fs)
+    found = Factorization(value // math.prod(resisted), tuple(sorted(fs.items())))
+    return PartialFactorization(value, found, tuple(sorted(resisted)))
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, a) with q = p^a; NotPrime unless q is a prime power."""
+    if q < 2 or factor(q).omega != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    (p, a), = factor(q).factors
+    return p, a
 
 
 def radical(n: int) -> int:

@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=10**7,
                         help="element-enumeration cap for searches")
     parser.add_argument("--factor-effort", type=int, default=2_000_000,
-                        help="iteration budget for integer factoring")
+                        help="Pollard-rho iterations per composite cofactor of each "
+                             "piece Phi_d(q) of q^n - 1; a cofactor that outlasts it is "
+                             "bounded, not fatal")
     parser.add_argument("--seed", type=int, default=2024, help="seed for randomized splitting")
     parser.add_argument("--out", type=str, default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)

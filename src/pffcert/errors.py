@@ -10,7 +10,11 @@ class FactorTimeout(PffcertError):
 
 
 class NotPrime(PffcertError):
-    """A prime was required."""
+    """A prime (or, where a field order is expected, a prime power) was required."""
+
+
+class InvalidArgument(PffcertError, ValueError):
+    """An argument lies outside the domain of the operation."""
 
 
 class NotIrreducible(PffcertError):

@@ -12,8 +12,8 @@ import functools
 from dataclasses import dataclass
 
 from . import fpoly
-from .arith import is_prime
-from .errors import DivisionByZero, NotIrreducible, NotPrime
+from .arith import is_prime, prime_power
+from .errors import DivisionByZero, InvalidArgument, NotIrreducible, NotPrime
 from .fpoly import FPoly
 
 _TABLE_LIMIT = 1024  # build full mul/inv tables for base fields up to this order
@@ -241,13 +241,7 @@ def _base_field_cached(p: int, a: int, modulus_coeffs: tuple[int, ...] | None):
 
 def field_for_order(q: int):
     """GF(q) for a prime power q, with the package's default modulus."""
-    from .arith import factor
-
-    f = factor(q)
-    if f.omega != 1:
-        raise NotPrime(f"{q} is not a prime power")
-    (p, a), = f.factors
-    return base_field(p, a)
+    return base_field(*prime_power(q))
 
 
 @dataclass(frozen=True)
@@ -470,6 +464,8 @@ def construct_tower(p: int, a: int, n: int, base_modulus=None, ext_modulus=None)
     """Build GF(p) < GF(p^a) < GF(p^(a n)); moduli default deterministically."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if a < 1 or n < 1:
+        raise InvalidArgument(f"extension degrees a = {a}, n = {n} must be positive")
     bc = tuple(base_modulus) if base_modulus is not None else None
     ec = tuple(ext_modulus) if ext_modulus is not None else None
     return _cached_tower(p, a, n, bc, ec)
@@ -477,7 +473,5 @@ def construct_tower(p: int, a: int, n: int, base_modulus=None, ext_modulus=None)
 
 def tower_for(q: int, n: int, ext_modulus=None) -> FieldTower:
     """Tower over GF(q) for a prime power q, default moduli."""
-    from .arith import factor
-
-    (p, a), = factor(q).factors
+    p, a = prime_power(q)
     return construct_tower(p, a, n, ext_modulus=ext_modulus)

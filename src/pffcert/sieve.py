@@ -9,6 +9,7 @@ floating point.  Floats appear only in reported R values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +17,7 @@ from typing import Literal
 
 from . import arith, fpoly, pff, witnesses
 from .arith import Factorization, factor, mult_order
-from .errors import DenominatorNonPositive, FactorTimeout, NonPositiveDelta
+from .errors import DenominatorNonPositive, FactorTimeout, InvalidArgument, NonPositiveDelta
 from .fpoly import FOrderProfile, FPoly
 from .gf import field_for_order
 
@@ -32,32 +33,92 @@ EXCEPTIONAL_PAIRS = frozenset({(2, 3), (2, 4), (3, 4), (4, 3), (5, 4)})
 class QData:
     """Q(q, n) = radical of (q^n - 1)/((q - 1) gcd(n, q - 1)), plus the
     companion quantities of the reduction identity: R is the greatest
-    divisor of q^n - 1 coprime to Q and Q* = (q^n - 1)/R."""
+    divisor of q^n - 1 coprime to Q and Q* = (q^n - 1)/R.
+
+    The quotient is `found` times the composite `cofactors` that resisted
+    factoring (see arith.PartialFactorization), so Q has the primes `primes`
+    and at most `cofactor_omega` more.  `quotient`, `radical` and `Q` are
+    exact only without cofactors and raise FactorTimeout otherwise; R and Q*
+    are always exact.
+    """
 
     q: int
     n: int
-    quotient: Factorization  # the unreduced quotient, as the tables print it
-    radical: Factorization  # Q itself (square-free)
+    found: Factorization  # the proven part of the quotient
+    cofactors: tuple[int, ...]
     Q_star: int
     R: int
+
+    @property
+    def cofactor(self) -> int:
+        return math.prod(self.cofactors)
+
+    @property
+    def cofactor_omega(self) -> int:
+        """Upper bound on the number of primes of Q inside the cofactors."""
+        return sum(arith.omega_bound(c) for c in self.cofactors)
+
+    @property
+    def omega_bound(self) -> int:
+        """Upper bound on omega(Q); exact without cofactors."""
+        return len(self.primes) + self.cofactor_omega
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """The proven primes of Q: all of them unless cofactors are left."""
+        return self.found.primes
+
+    @property
+    def quotient(self) -> Factorization:
+        """The unreduced quotient, as the tables print it."""
+        if self.cofactors:
+            raise FactorTimeout(
+                f"Q({self.q}, {self.n}) keeps a composite cofactor of "
+                f"{self.cofactor.bit_length()} bits that resisted factoring"
+            )
+        return self.found
+
+    @functools.cached_property
+    def radical(self) -> Factorization:
+        """Q itself (square-free)."""
+        return Factorization(self.quotient.radical, tuple((p, 1) for p in self.primes))
 
     @property
     def Q(self) -> int:
         return self.radical.value
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return self.radical.primes
 
+def compute_Q(q: int, n: int, effort: int = arith.DEFAULT_EFFORT) -> QData:
+    """Q(q, n) from the pieces Phi_d(q), d | n, of q^n - 1 = prod Phi_d(q).
 
-def compute_Q(q: int, n: int, effort: int = 2_000_000) -> QData:
+    The quotient is the product of the pieces with d > 1 divided by
+    gcd(n, q - 1); the piece Phi_1(q) = q - 1 only enters R.  A cofactor
+    has no prime below arith.TRIAL_BOUND > n, and such a prime divides at
+    most one piece (a prime in Phi_d(q) and Phi_d'(q), d < d', divides
+    d'), so Phi_1(q)'s cofactor lies in R and the others in Q.
+    """
     N = q**n - 1
-    den = (q - 1) * math.gcd(n, q - 1)
-    quotient = factor(N // den, effort)
-    rad = quotient.radical
-    Nf = factor(N, effort)
-    R = math.prod(p**e for p, e in Nf.factors if rad % p)
-    return QData(q, n, quotient, factor(rad, effort), N // R, R)
+    g = math.gcd(n, q - 1)
+    in_N: dict[int, int] = {}
+    in_quotient: dict[int, int] = {}
+    cofactors: list[int] = []
+    R = 1
+    for d in arith.divisors(n):
+        piece = arith.factor_cyclotomic(q, d, effort)
+        for p, e in piece.found.factors:
+            in_N[p] = in_N.get(p, 0) + e
+            if d > 1:
+                in_quotient[p] = in_quotient.get(p, 0) + e
+        if d > 1:
+            cofactors += piece.cofactors
+        else:
+            R = piece.cofactor
+    for p, e in factor(g).factors:
+        in_quotient[p] -= e
+    exps = tuple((p, e) for p, e in sorted(in_quotient.items()) if e > 0)
+    found = Factorization(N // ((q - 1) * g) // math.prod(cofactors), exps)
+    R *= math.prod(p**e for p, e in in_N.items() if in_quotient.get(p, 0) <= 0)
+    return QData(q, n, found, tuple(sorted(cofactors)), N // R, R)
 
 
 def reduction_target(q: int, n: int) -> FPoly:
@@ -113,12 +174,19 @@ class SieveAtom:
 
 @dataclass(frozen=True)
 class SieveDecomposition:
-    """A (k0, r) decomposition: a common core plus r single-atom extensions."""
+    """A (k0, r) decomposition: a common core plus r single-atom extensions.
+
+    `core_omega` is an upper bound on the number of primes of the core
+    modulus, for cores with more primes than core_m0 shows (a resistant
+    cofactor's primes sit in the core but not in core_m0); None means
+    omega(core_m0).
+    """
 
     core_m0: int
     core_f0: tuple[FPoly, ...]
     core_g0: tuple[FPoly, ...]
     atoms: tuple[SieveAtom, ...]
+    core_omega: int | None = None
 
     @property
     def r(self) -> int:
@@ -137,7 +205,8 @@ class SieveDecomposition:
 
     @property
     def W_core(self) -> int:
-        return arith.W(self.core_m0) << (len(self.core_f0) + len(self.core_g0))
+        omega = arith.omega(self.core_m0) if self.core_omega is None else self.core_omega
+        return 1 << (omega + len(self.core_f0) + len(self.core_g0))
 
 
 @dataclass(frozen=True)
@@ -168,14 +237,19 @@ def eval_decomposition(q: int, n: int, d: SieveDecomposition) -> DecompResult:
 
 @dataclass(frozen=True)
 class Partition:
-    """Split of the primes of Q into a core (product m0) and sieving primes."""
+    """Split of the primes of Q into a core (product m0) and sieving primes.
+
+    `unknown` bounds the core primes that are not listed: those of a
+    cofactor that resisted factoring.  Only proven primes ever sieve.
+    """
 
     core: tuple[int, ...]
     sieving: tuple[int, ...]
+    unknown: int = 0
 
     @property
     def u(self) -> int:
-        return len(self.core)
+        return len(self.core) + self.unknown
 
     @property
     def t(self) -> int:
@@ -222,18 +296,27 @@ def key_ineq(
     profile: FOrderProfile,
     partition: Partition,
     refined: bool = False,
+    qdata: QData | None = None,
 ) -> BoundResult:
     """The core-atom inequality for the g/G split of x^(n*) - 1.
 
-    Additive-only when the sieving prime set is empty.  With exact W(Q) and
-    W(g); `refined` replaces the true sieved degree n* - m by n* - rho n.
-    The partition must cover every prime of Q(q, n); supersets are allowed
-    and merely weaken the bound.
+    Additive-only when the sieving prime set is empty.  With W(Q), or its
+    upper bound where a cofactor resisted factoring (the bound increases
+    with u, so an upper bound on u keeps a pass sound), and exact W(g);
+    `refined` replaces the true sieved degree n* - m by n* - rho n.
+    The partition must cover every prime of Q(q, n), given as `qdata` or
+    computed; supersets are allowed and merely weaken the bound.
     """
+    qd = qdata or compute_Q(q, n)
+    if (qd.q, qd.n) != (q, n):
+        raise ValueError(f"qdata is for ({qd.q}, {qd.n}), not ({q}, {n})")
     covered = set(partition.core) | set(partition.sieving)
-    missing = [l for l in compute_Q(q, n).primes if l not in covered]
+    missing = [l for l in qd.primes if l not in covered]
     if missing:
         raise ValueError(f"partition misses primes of Q: {missing}")
+    if partition.unknown < qd.cofactor_omega:
+        raise ValueError(
+            f"partition allows {partition.unknown} unknown primes of Q, not {qd.cofactor_omega}")
     nstar, s = profile.n_star, profile.s
     omega_g, m = profile.omega_g, profile.m
     X = Fraction(nstar - omega_g) if refined else Fraction(nstar - m)
@@ -287,17 +370,17 @@ def choose_partition(q: int, n: int, strategy: str = "default", qdata: QData | N
     """Prime partitions: 'default' cores the primes below q; 'all-core'
     disables multiplicative sieving; 'sieve-t' sieves the t largest."""
     qd = qdata or compute_Q(q, n)
-    primes = qd.primes
+    primes, unknown = qd.primes, qd.cofactor_omega
     if strategy == "default":
         core = tuple(p for p in primes if p < q)
-        return Partition(core, tuple(p for p in primes if p >= q))
+        return Partition(core, tuple(p for p in primes if p >= q), unknown)
     if strategy == "all-core":
-        return Partition(primes, ())
+        return Partition(primes, (), unknown)
     if strategy.startswith("sieve-"):
         t = int(strategy.split("-")[1])
         if not 0 <= t <= len(primes):
             raise ValueError(f"cannot sieve {t} of {len(primes)} primes")
-        return Partition(primes[: len(primes) - t], primes[len(primes) - t :])
+        return Partition(primes[: len(primes) - t], primes[len(primes) - t :], unknown)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -391,6 +474,23 @@ class CertifyConfig:
     seed: int = 2024
 
 
+def _factoring_evidence(qdata: QData) -> tuple[dict, tuple[str, ...]]:
+    """Numerics and notes for what a bound certificate assumes about Q."""
+    numerics: dict = {}
+    notes: list[str] = []
+    if qdata.cofactors:
+        bits, B, k = qdata.cofactor.bit_length(), arith.TRIAL_BOUND, qdata.cofactor_omega
+        numerics.update(cofactor_bits=bits, trial_bound=B, cofactor_omega_bound=k)
+        notes.append(f"a {bits}-bit composite part of Q resisted factoring; it has no prime "
+                     f"below {B}, so at most {k} primes, all counted in the core")
+    probable = [p for p in qdata.primes if p >= arith.DETERMINISTIC_PRIME_BOUND]
+    if probable:
+        numerics["probable_primes"] = probable
+        notes.append(f"the primes of Q above {arith.DETERMINISTIC_PRIME_BOUND} (probable_primes) "
+                     "passed the BPSW test but are not proven prime")
+    return numerics, tuple(notes)
+
+
 def _poly_core_decomposition(
     q: int, qdata: QData, factors: tuple[FPoly, ...], core_count: int, partition: Partition
 ) -> SieveDecomposition:
@@ -404,30 +504,22 @@ def _poly_core_decomposition(
     for f in sieved:
         atoms.append(SieveAtom.poly(f, "y", q))
     m0 = math.prod(partition.core) if partition.core else 1
-    return SieveDecomposition(m0, core_polys, core_polys, tuple(atoms))
+    return SieveDecomposition(m0, core_polys, core_polys, tuple(atoms), partition.u)
 
 
 def _decomposition_sweep(q: int, n: int, qdata: QData, e: FPoly) -> tuple[SieveDecomposition, DecompResult] | None:
     """Deterministic sweep of core/atom splits built from the factors of e."""
-    F = e.field
     factors = tuple(sorted(fpoly.factor_squarefree(e.monic()), key=FPoly.sort_key))
     strategies = ["default", "all-core"] + [f"sieve-{t}" for t in range(1, len(qdata.primes) + 1)]
-    candidates: list[tuple[int, str]] = []
-    if (q, n) == (2, 21):
-        # the one pair where the plain g/G split fails: core = the two small
-        # factors, sieve the degree-3 and degree-6 ones plus all primes of Q
-        candidates.append((2, f"sieve-{len(qdata.primes)}"))
     for k in range(len(factors), -1, -1):
         for strat in strategies:
-            candidates.append((k, strat))
-    for k, strat in candidates:
-        part = choose_partition(q, n, strat, qdata)
-        d = _poly_core_decomposition(q, qdata, factors, k, part)
-        if d.delta <= 0:
-            continue
-        res = eval_decomposition(q, n, d)
-        if res.passes:
-            return d, res
+            part = choose_partition(q, n, strat, qdata)
+            d = _poly_core_decomposition(q, qdata, factors, k, part)
+            if d.delta <= 0:
+                continue
+            res = eval_decomposition(q, n, d)
+            if res.passes:
+                return d, res
     return None
 
 
@@ -438,12 +530,14 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
     criterion; the core-atom inequality (additive, then with multiplicative
     sieving over partition strategies); the non-sieving bounds; a sweep of
     general decompositions; finally a known witness polynomial or direct
-    search.  UNDECIDED is only reachable with tiny budgets.
+    search.  A cofactor of q^n - 1 that resists factoring costs no verdict:
+    the bounds use an upper bound on its number of primes.  UNDECIDED is
+    only reachable with tiny budgets.
     """
     cfg = config or CertifyConfig()
-    qf = factor(q)
-    if qf.omega != 1:
-        raise ValueError(f"q = {q} is not a prime power")
+    arith.prime_power(q)  # NotPrime unless q is a prime power
+    if n < 1:
+        raise InvalidArgument(f"n = {n} is not a positive extension degree")
 
     if n <= 2:
         return Certificate(q, n, "PFF", "trivial-n<=2",
@@ -464,31 +558,30 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
             notes=("relies on the primitive-element-with-nonzero-trace theorem as an external axiom",),
         )
 
-    try:
-        qdata = compute_Q(q, n, cfg.factor_effort)
-    except FactorTimeout as exc:
-        return Certificate(q, n, "UNDECIDED", None, notes=(f"factoring failed: {exc}",))
+    qdata = compute_Q(q, n, cfg.factor_effort)
+    q_numerics, q_notes = _factoring_evidence(qdata)
+
+    def bound_cert(method: str, numerics: dict) -> Certificate:
+        return Certificate(q, n, "PFF", method, numerics=dict(numerics, **q_numerics), notes=q_notes)
 
     F = field_for_order(q)
     profile = fpoly.factor_xn_minus_1(F, n, cfg.seed)
-    W_Q = qdata.radical.W
 
     # (4) additive-only core-atom inequality, refined then exact
     for refined in (True, False):
         try:
-            res = key_ineq(q, n, profile, Partition(qdata.primes, ()), refined=refined)
+            res = key_ineq(q, n, profile, choose_partition(q, n, "all-core", qdata), refined, qdata)
         except DenominatorNonPositive:
             continue
         if res.passes:
-            return Certificate(q, n, "PFF", "keyineq-additive", numerics=res.numerics)
+            return bound_cert("keyineq-additive", res.numerics)
 
     # (5) non-sieving bounds on the reduced polynomial target
     e = reduction_target(q, n)
     e_factors = fpoly.factor_squarefree(e.monic())
-    ok, numerics = nosieve_bound(q, n, W_Q, 1 << len(e_factors))
+    ok, numerics = nosieve_bound(q, n, 1 << qdata.omega_bound, 1 << len(e_factors))
     if ok:
-        return Certificate(q, n, "PFF", "nosieve-bound",
-                           numerics=dict(numerics, target=str(e)))
+        return bound_cert("nosieve-bound", dict(numerics, target=str(e)))
 
     # (6) multiplicative sieving over partition strategies
     for strat in ["default"] + [f"sieve-{t}" for t in range(1, len(qdata.primes) + 1)]:
@@ -497,27 +590,23 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
             continue
         for refined in (True, False):
             try:
-                res = key_ineq(q, n, profile, part, refined=refined)
+                res = key_ineq(q, n, profile, part, refined, qdata)
             except DenominatorNonPositive:
                 continue
             if res.passes:
-                return Certificate(q, n, "PFF", "keyineq-full",
-                                   numerics=dict(res.numerics, strategy=strat))
+                return bound_cert("keyineq-full", dict(res.numerics, strategy=strat))
 
     # (7) general decompositions over the reduced target
     hit = _decomposition_sweep(q, n, qdata, e)
     if hit is not None:
         d, res = hit
-        return Certificate(
-            q, n, "PFF", "custom-decomposition",
-            numerics={
-                "delta": res.delta, "Delta": res.Delta, "W_core": res.W_core,
-                "lhs": res.lhs, "rhs": res.rhs,
-                "core_m0": d.core_m0,
-                "core_degrees": [f.degree for f in d.core_f0],
-                "atoms": [f"{a.kind}:{a.value}" for a in d.atoms],
-            },
-        )
+        return bound_cert("custom-decomposition", {
+            "delta": res.delta, "Delta": res.Delta, "W_core": res.W_core,
+            "lhs": res.lhs, "rhs": res.rhs,
+            "core_m0": d.core_m0,
+            "core_degrees": [f.degree for f in d.core_f0],
+            "atoms": [f"{a.kind}:{a.value}" for a in d.atoms],
+        })
 
     # (8) known witness polynomial, then direct search
     if cfg.use_witness_table:

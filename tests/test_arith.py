@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from pffcert import arith
 from pffcert.arith import Factorization, c_bound, check_primorial_bound, factor
+from pffcert.errors import NotPrime
 
 
 def test_factor_known_values():
@@ -23,10 +28,95 @@ def test_factor_13_12_roundtrip():
 
 
 def test_factorization_invariant_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Factorization(12, ((2, 1), (3, 1)))  # product is 6, not 12
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Factorization(12, ((3, 1), (2, 2)))  # primes not increasing
+    with pytest.raises(NotPrime):
+        Factorization(12, ((2, 1), (6, 1)))
+
+
+def test_factorization_invariant_survives_optimize():
+    # python -O strips assert statements; the checks must not be asserts
+    code = (
+        "from pffcert.arith import Factorization\n"
+        "for args in ((12, ((2, 1), (3, 1))), (12, ((2, 1), (6, 1)))):\n"
+        "    try:\n"
+        "        Factorization(*args)\n"
+        "    except ValueError: print('ValueError')\n"
+        "    except Exception as exc: print(type(exc).__name__)\n"
+    )
+    src = str(Path(arith.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.split() == ["ValueError", "NotPrime"], out.stderr
+
+
+# strong Lucas pseudoprimes below 10^5 with Selfridge's parameters (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+
+def test_strong_lucas_test_matches_known_pseudoprimes():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    passing = [n for n in range(39, limit, 2) if arith._strong_lucas_probable_prime(n)]
+    composites = [n for n in passing if not sieve[n] and math.gcd(n, 3 * 5 * 7) == 1]
+    assert composites == STRONG_LUCAS_PSEUDOPRIMES
+    assert all(n in passing for n in range(39, limit, 2) if sieve[n])
+
+
+def test_is_prime_above_the_deterministic_bound():
+    # psi_12 and psi_13 are strong pseudoprimes to all twelve bases 2..37
+    psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi_12 == arith.DETERMINISTIC_PRIME_BOUND
+    assert not arith.is_prime(psi_12) and not arith.is_prime(psi_13)
+    assert arith.is_prime(2**89 - 1) and arith.is_prime(2**127 - 1)
+    assert arith.is_prime(4805345109492315767981401)
+    assert not arith.is_prime((2**61 - 1) * (2**89 - 1))
+    assert not arith.is_prime((2**89 - 1) ** 2)
+
+
+def test_omega_bound_uses_integer_powers():
+    B = arith.TRIAL_BOUND
+    assert arith.omega_bound(B - 1) == 0
+    assert arith.omega_bound(B) == 1
+    assert arith.omega_bound(B**2 - 1) == 1
+    assert arith.omega_bound(B**3) == 3
+    assert arith.omega_bound(B**40 - 1) == 39
+
+
+ACCEPTANCE_GRID = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13) for n in range(3, 25)]
+
+
+def test_factor_cyclotomic_pieces_on_acceptance_grid():
+    for q, n in ACCEPTANCE_GRID:
+        exps: dict[int, int] = {}
+        for d in arith.divisors(n):
+            piece = arith.factor_cyclotomic(q, d)
+            assert piece.cofactors == () and piece.value == arith.cyclotomic_value(q, d)
+            for p, e in piece.found.factors:
+                assert d % p == 0 or (p - 1) % d == 0, (q, d, p)
+                exps[p] = exps.get(p, 0) + e
+        assert tuple(sorted(exps.items())) == factor(q**n - 1).factors, (q, n)
+
+
+def test_factor_cyclotomic_keeps_a_resistant_cofactor():
+    # Phi_35(7) has two primes above 10^6 that 100 rho iterations cannot split
+    piece = arith.factor_cyclotomic(7, 35, 100)
+    assert len(piece.cofactors) == 1
+    c = piece.cofactor
+    assert piece.found.value * c == piece.value == arith.cyclotomic_value(7, 35)
+    assert math.gcd(c, piece.found.value) == 1
+    full = factor(c)
+    assert all(p >= arith.TRIAL_BOUND and (p - 1) % 35 == 0 for p in full.primes)
+    assert 2 <= full.omega <= arith.omega_bound(c)
+    assert arith.factor_cyclotomic(7, 35).cofactors == ()
+    with pytest.raises(ValueError):
+        arith.PartialFactorization(piece.value, piece.found, (c + 1,))
 
 
 def test_multiplicative_functions():

@@ -70,3 +70,11 @@ def test_verify_suite_section(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "3/3 checks passed" in out
+
+
+def test_invalid_input_exits_cleanly():
+    for args in (("certify", "2", "0"), ("certify", "2", "-3"), ("certify", "6", "3"),
+                 ("certify", "1", "5"), ("charsum", "6", "2"), ("search", "2", "0")):
+        code, out, err = run_cli(*args)
+        assert code == 2, args
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err, args

@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from pffcert import arith, fpoly, pff
-from pffcert.errors import DenominatorNonPositive, NonPositiveDelta
+from pffcert.errors import DenominatorNonPositive, FactorTimeout, InvalidArgument, NonPositiveDelta, NotPrime
 from pffcert.fpoly import FPoly
 from pffcert.gf import field_for_order
 from pffcert.sieve import (
@@ -372,3 +373,84 @@ def test_no_bound_passes_for_exceptional_pairs():
         ok, _ = nosieve_bound(q, n, qd.radical.W, W_e)
         assert not ok
         assert _decomposition_sweep(q, n, qd, e) is None
+
+
+ACCEPTANCE_GRID = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13) for n in range(3, 25)]
+
+
+def _compute_Q_by_three_factorizations(q, n):
+    N = q**n - 1
+    quotient = arith.factor(N // ((q - 1) * math.gcd(n, q - 1)))
+    rad = quotient.radical
+    R = math.prod(p**e for p, e in arith.factor(N).factors if rad % p)
+    return quotient, arith.factor(rad), N // R, R
+
+
+def test_compute_Q_matches_whole_number_factoring():
+    for q, n in ACCEPTANCE_GRID:
+        qd = compute_Q(q, n)
+        assert qd.cofactors == ()
+        assert (qd.quotient, qd.radical, qd.Q_star, qd.R) == _compute_Q_by_three_factorizations(q, n)
+
+
+def test_pairs_share_cyclotomic_pieces():
+    certify(13, 24)
+    misses = arith.factor_cyclotomic.cache_info().misses
+    certify(13, 12)
+    assert arith.factor_cyclotomic.cache_info().misses == misses
+
+
+def test_resistant_cofactor_is_bounded_not_fatal():
+    # at 100 rho iterations Phi_35(7) keeps a 68-bit composite cofactor
+    cfg = CertifyConfig(factor_effort=100)
+    t0 = time.perf_counter()
+    cert = certify(7, 35, cfg)
+    assert time.perf_counter() - t0 < 1.0
+    qd = compute_Q(7, 35, 100)
+    assert qd.cofactor.bit_length() == 68 and qd.cofactor_omega == 3
+    assert (cert.status, cert.method) == ("PFF", "keyineq-additive")
+    assert cert.numerics["cofactor_bits"] == 68
+    assert cert.numerics["trial_bound"] == arith.TRIAL_BOUND
+    assert cert.numerics["cofactor_omega_bound"] == 3
+    assert cert.numerics["u"] == len(qd.primes) + 3
+    assert any("at most 3 primes" in note for note in cert.notes)
+    # the bound covers the primes the cofactor really has
+    exact = compute_Q(7, 35)
+    assert set(qd.primes) < set(exact.primes)
+    assert exact.radical.omega <= qd.omega_bound
+    assert (qd.Q_star, qd.R) == (exact.Q_star, exact.R)
+
+
+def test_qdata_with_cofactor_is_exact_only_where_it_can_be():
+    qd = compute_Q(7, 35, 100)
+    N = 7**35 - 1
+    assert qd.found.value * qd.cofactor == N // (6 * math.gcd(35, 6))
+    assert qd.Q_star * qd.R == N
+    for attr in ("Q", "radical", "quotient"):
+        with pytest.raises(FactorTimeout):
+            getattr(qd, attr)
+    # sieving atoms are proven primes; the unknown ones stay in the core
+    for strat in ("default", "all-core", "sieve-2"):
+        part = choose_partition(7, 35, strat, qd)
+        assert set(part.sieving) <= set(qd.primes) and part.unknown == 3
+    profile = fpoly.factor_xn_minus_1(field_for_order(7), 35)
+    with pytest.raises(ValueError):
+        key_ineq(7, 35, profile, Partition(qd.primes, ()), qdata=qd)
+    assert key_ineq(7, 35, profile, Partition(qd.primes, (), 3), qdata=qd).passes
+
+
+def test_probable_primes_are_listed():
+    cert = certify(7, 37)
+    assert cert.method == "keyineq-additive"
+    assert cert.numerics["probable_primes"] == [4805345109492315767981401]
+    assert any("BPSW" in note for note in cert.notes)
+    assert "probable_primes" not in certify(5, 9).numerics
+
+
+def test_certify_rejects_invalid_input():
+    for n in (0, -3):
+        with pytest.raises(InvalidArgument):
+            certify(2, n)
+    for q in (6, 1, 0):
+        with pytest.raises(NotPrime):
+            certify(q, 3)
