@@ -169,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--budget", type=int, default=10**7,
-                        help="element-enumeration cap for searches")
+                        help="cap on q^n for searches; --all/--count are further "
+                             "capped at the engine limit of 10^5 elements")
     parser.add_argument("--factor-effort", type=int, default=2_000_000,
                         help="Pollard-rho iterations per composite cofactor of each "
                              "piece Phi_d(q) of q^n - 1; a cofactor that outlasts it is "

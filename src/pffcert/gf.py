@@ -9,10 +9,11 @@ tuples of length n, reduced modulo the tower's extension modulus.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from . import fpoly
-from .arith import is_prime, prime_power
+from .arith import factor, is_prime, prime_power
 from .errors import DivisionByZero, InvalidArgument, NotIrreducible, NotPrime
 from .fpoly import FPoly
 
@@ -330,6 +331,7 @@ class FieldTower:
                     row[j] = F.add(row[j], F.mul(carry, self._red_rows[0][j]))
         self._frob_rows: list[tuple[int, ...]] | None = None
         self._profile: fpoly.FOrderProfile | None = None
+        self._generator: Element | None = None
 
     # -- construction of elements ----------------------------------------
 
@@ -358,6 +360,18 @@ class FieldTower:
         q, n = self.q, self.n
         for k in range(self.order):
             yield self.element([(k // q**i) % q for i in range(n)])
+
+    def generator(self) -> Element:
+        """Least-index generator of E*, the fixed base of every discrete log."""
+        if self._generator is None:
+            N = self.order - 1
+            cofactors = [N // l for l in factor(N).primes]
+            one = self.one_element()
+            self._generator = next(
+                x for x in itertools.islice(self.elements(), 1, None)
+                if all(x**c != one for c in cofactors)
+            )
+        return self._generator
 
     # -- arithmetic --------------------------------------------------------
 

@@ -2,8 +2,10 @@
 
 A PFF element is primitive and free over F with a free inverse; inverse
 primitivity comes along automatically, so verdicts track three flags.
-Single-element checks run on plain tower arithmetic (they stay cheap even
-for GF(13^12)); exhaustive work goes through the small-field engine.
+Single-element checks and first-hit search run on plain tower arithmetic
+(they stay cheap even for GF(13^12)); every exhaustive job (`search_pff` in
+"all"/"count" mode, `count_pff_elements`, `brute_N`) goes through the
+small-field engine, so it is capped at `smallfield.ENGINE_LIMIT` elements.
 """
 
 from __future__ import annotations
@@ -12,16 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from . import arith, fpoly
 from .errors import BudgetExceeded, NotADivisor, NotIrreducible, WrongDegree, ZeroElement
 from .fpoly import FPoly
 from .gf import Element, tower_for
-from .smallfield import ENGINE_LIMIT, engine_for
+from .smallfield import engine_for
 
-SEARCH_BUDGET_FIRST = 10**7
-SEARCH_BUDGET_ALL = 10**5
+SEARCH_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -113,76 +112,40 @@ def _coprime_exponents(N: int):
             yield e
 
 
-def _find_generator(tower) -> Element:
-    """Least-index multiplicative generator of E*."""
-    N = tower.order - 1
-    cof = [N // l for l in arith.factor(N).primes]
-    one = tower.one_element()
-    for idx in range(1, min(tower.order, 10**6)):
-        q = tower.q
-        cand = tower.element([(idx // q**i) % q for i in range(tower.n)])
-        if all(cand**c != one for c in cof):
-            return cand
-    raise AssertionError("no generator found")
-
-
 def search_pff(
     q: int,
     n: int,
     mode: Literal["first", "all", "count"] = "first",
     budget: int | None = None,
 ) -> list[FPoly]:
-    """PFF polynomials for (q, n), by walking primitive elements.
+    """PFF polynomials for (q, n), sorted; `first` returns at most one.
 
-    Enumerates gamma^e over exponents e coprime to q^n - 1 (each primitive
-    element once, deterministic order) and keeps those whose element and
-    inverse are both free.  Returns minimal polynomials; `first` stops at
-    the earliest hit, `all`/`count` deduplicate the complete list.
+    `first` walks gamma^e over exponents e coprime to q^n - 1 (each primitive
+    element once, deterministic order) on tower arithmetic and stops at the
+    earliest element whose element and inverse are both free.  `all` and
+    `count` return the complete list from the small-field engine, so they
+    run on fields of at most min(budget, ENGINE_LIMIT) elements; a larger
+    field raises `BudgetExceeded`, as does q^n > budget in any mode.
     """
     if budget is None:
-        budget = SEARCH_BUDGET_FIRST if mode == "first" else SEARCH_BUDGET_ALL
+        budget = SEARCH_BUDGET
     if q**n > budget:
         raise BudgetExceeded(f"q^n = {q ** n} exceeds the search budget {budget}")
-    if q**n - 1 <= ENGINE_LIMIT - 1 and mode != "first":
-        return _search_all_small(q, n, mode)
+    if mode != "first":
+        eng = engine_for(q, n)
+        return eng.min_polys(eng.pff_mask())
     tower = tower_for(q, n)
-    N = tower.order - 1
-    gamma = _find_generator(tower)
-    found: list[FPoly] = []
-    seen: set[tuple[int, ...]] = set()
-    for e in _coprime_exponents(N):
+    gamma = tower.generator()
+    for e in _coprime_exponents(tower.order - 1):
         alpha = gamma**e
-        if _least_failing_factor(alpha) is not None:
-            continue
-        if _least_failing_factor(alpha.inverse()) is not None:
-            continue
-        mp = fpoly.min_poly(alpha)
-        if mp.coeffs not in seen:
-            seen.add(mp.coeffs)
-            found.append(mp)
-        if mode == "first":
-            return found
-    return sorted(found, key=FPoly.sort_key)
-
-
-def _search_all_small(q: int, n: int, mode: str) -> list[FPoly]:
-    eng = engine_for(q, n)
-    ok = eng.free_mask() & eng.free_mask()[eng.inv_idx] & eng.primitive_mask()
-    seen: set[tuple[int, ...]] = set()
-    found: list[FPoly] = []
-    for idx in np.nonzero(ok)[0]:
-        mp = fpoly.min_poly(eng.element_of(int(idx)))
-        if mp.coeffs not in seen:
-            seen.add(mp.coeffs)
-            found.append(mp)
-    return sorted(found, key=FPoly.sort_key)
+        if _least_failing_factor(alpha) is None and _least_failing_factor(alpha.inverse()) is None:
+            return [fpoly.min_poly(alpha)]
+    return []
 
 
 def count_pff_elements(q: int, n: int) -> int:
     """Exact number of PFF elements (engine-sized fields only)."""
-    eng = engine_for(q, n)
-    ok = eng.free_mask() & eng.free_mask()[eng.inv_idx] & eng.primitive_mask()
-    return int(ok.sum())
+    return int(engine_for(q, n).pff_mask().sum())
 
 
 # ---------------------------------------------------------------------------

@@ -345,23 +345,17 @@ def eval_R(
 
     The relaxed parametrization of the core-atom inequality: the sieved
     degree is taken as n* - rho n (refined) or (1 - rho) n (basic), and the
-    exponent on 2 is 2 rho n + u + 1.
+    exponent on 2 is 2 rho n + u + 1, which must be an integer (rho is
+    omega_g / n for the omega_g irreducible factors of x^n - 1), so R is exact.
     """
     if n_star is None:
         n_star = n
     rho = Fraction(rho)
     X = n_star - rho * n if refined else (1 - rho) * n
     two_rho_n = 2 * rho * n
-    if two_rho_n.denominator == 1:
-        braced = _braced_value(q, n, s, X, int(two_rho_n) + u + 1, t, Fraction(delta))
-    else:
-        # fractional exponent on 2 (only reachable with rho n not an
-        # integer): the value is float-accurate, not exact
-        num = Fraction(2) * X / s + (t - 1)
-        den = Fraction(delta) - Fraction(2) * X / (s * q**s)
-        if den <= 0:
-            raise DenominatorNonPositive(f"denominator {den} is not positive")
-        braced = Fraction(2.0 ** float(two_rho_n + u + 1) * float(num / den + 2))
+    if two_rho_n.denominator != 1:
+        raise InvalidArgument(f"2 rho n = {two_rho_n} is not an integer")
+    braced = _braced_value(q, n, s, X, int(two_rho_n) + u + 1, t, Fraction(delta))
     numerics = {"s": s, "rho": rho, "u": u, "t": t, "delta": Fraction(delta), "refined": refined}
     return _bound_from_braced(q, n, braced, numerics)
 
@@ -469,7 +463,6 @@ class Certificate:
 class CertifyConfig:
     search_budget: int = 10**7
     factor_effort: int = 2_000_000
-    engine_budget: int = 5000
     use_witness_table: bool = True
     seed: int = 2024
 
@@ -544,11 +537,9 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
                            notes=("primitive elements of quadratic or trivial extensions are free both ways",))
 
     if (q, n) in EXCEPTIONAL_PAIRS:
-        notes = ["listed exceptional pair"]
-        if q**n <= cfg.engine_budget:
-            found = pff.search_pff(q, n, "all", budget=cfg.engine_budget)
-            notes.append(f"exhaustive search cross-check: {len(found)} PFF polynomials")
-        return Certificate(q, n, "NOT_PFF", "exception-list", notes=tuple(notes))
+        found = pff.search_pff(q, n, "all")
+        return Certificate(q, n, "NOT_PFF", "exception-list", notes=(
+            "listed exceptional pair", f"exhaustive search cross-check: {len(found)} PFF polynomials"))
 
     if lemma_prime_n(q, n):
         return Certificate(

@@ -1,9 +1,12 @@
 """Exhaustive-enumeration engine for small extensions.
 
 Builds one-time discrete-log, trace and freeness tables for a tower with at
-most ``ENGINE_LIMIT`` elements, so that counting and character-sum work can
-be vectorized with numpy.  Everything outside this module treats elements
-as coefficient tuples; here they get dense integer indices.
+most ``ENGINE_LIMIT`` elements, so that counting, exhaustive search and
+character-sum work can be vectorized with numpy.  This is the package's only
+exhaustive path: `pff.search_pff` in "all"/"count" mode, `pff.count_pff_elements`,
+`pff.brute_N` and the character sums all read these tables, and a larger
+field raises `BudgetExceeded`.  Everything outside this module treats
+elements as coefficient tuples; here they get dense integer indices.
 """
 
 from __future__ import annotations
@@ -12,19 +15,20 @@ import functools
 
 import numpy as np
 
-from . import arith
+from . import arith, fpoly
 from .errors import BudgetExceeded
 from .fpoly import FPoly
 from .gf import Element, FieldTower, tower_for
 
-ENGINE_LIMIT = 6000
+ENGINE_LIMIT = 10**5
 
 
 class SmallFieldEngine:
     """Lookup tables for one tower with q^n <= ENGINE_LIMIT.
 
     Index 0 is the zero element; `exp[j]` is the index of gamma^j for the
-    fixed generator gamma, and `log[idx]` inverts that map on E*.
+    least-index generator gamma (`FieldTower.generator`), and `log[idx]`
+    inverts that map on E*.
     """
 
     def __init__(self, tower: FieldTower):
@@ -37,11 +41,11 @@ class SmallFieldEngine:
         self.n = tower.n
         self.p = tower.p
         F = tower.F
-        self.N_factors = arith.factor(self.N) if self.N > 1 else arith.factor(1)
+        self.N_factors = arith.factor(self.N)
 
-        self.generator = self._find_generator()
+        self.generator = tower.generator()
         # discrete log tables
-        self.exp = np.zeros(max(self.N, 1), dtype=np.int64)
+        self.exp = np.zeros(self.N, dtype=np.int64)
         self.log = np.full(self.size, -1, dtype=np.int64)
         acc = tower.one_element()
         for j in range(self.N):
@@ -88,20 +92,9 @@ class SmallFieldEngine:
         return self.tower.element(self._coeffs_of_index(idx))
 
     def _pack_digit_rows(self, rows: np.ndarray) -> np.ndarray:
-        return (rows.astype(np.int64) * self._pack_weights).sum(axis=1)
+        return rows @ self._pack_weights
 
     # -- construction helpers ------------------------------------------------
-
-    def _find_generator(self) -> Element:
-        cofactors = [self.N // l for l in self.N_factors.primes]
-        for idx in range(1, self.size):
-            cand = self.element_of(idx)
-            if all(not (cand**c).is_zero() and (cand**c) != self.tower.one_element()
-                   for c in cofactors):
-                return cand
-        if self.N == 1:
-            return self.tower.one_element()
-        raise AssertionError("no generator found")
 
     def _build_abs_trace(self) -> np.ndarray:
         # absolute trace to GF(p): sum of w^(p^j) over the full prime degree
@@ -110,8 +103,7 @@ class SmallFieldEngine:
         total = np.zeros(self.size, dtype=np.int64)
         digsum = np.zeros((self.size - 1, self.digits.shape[1]), dtype=np.int64)
         for j in range(deg):
-            shift = pow(self.p, j, self.N) if self.N > 1 else 0
-            idxs = self.exp[(logs * shift) % self.N] if self.N > 1 else np.ones(0, int)
+            idxs = self.exp[(logs * pow(self.p, j, self.N)) % self.N]
             digsum += self.digits[idxs]
         digsum %= self.p
         # the trace lies in GF(p): the constant prime digit
@@ -121,9 +113,7 @@ class SmallFieldEngine:
 
     def _build_inverses(self) -> np.ndarray:
         inv = np.zeros(self.size, dtype=np.int64)
-        if self.N > 0:
-            logs = self.log[1:]
-            inv[1:] = self.exp[(-logs) % self.N]
+        inv[1:] = self.exp[(-self.log[1:]) % self.N]
         return inv
 
     def _sigma_eval_all(self, h: FPoly) -> np.ndarray:
@@ -134,8 +124,7 @@ class SmallFieldEngine:
         for i, c in enumerate(h.coeffs):
             if c == 0:
                 continue
-            shift = pow(self.q, i, self.N) if self.N > 1 else 0
-            idxs = (logs * shift) % self.N if self.N > 1 else logs * 0
+            idxs = (logs * pow(self.q, i, self.N)) % self.N
             if c != 1:
                 idxs = (idxs + int(self.log[self.index_of(self.tower.embed_base(c))])) % self.N
             acc += self.digits[self.exp[idxs]]
@@ -161,13 +150,8 @@ class SmallFieldEngine:
         """True where w is NOT m-free (some prime of m divides the index)."""
         out = np.zeros(self.size, dtype=bool)
         out[0] = True
-        if m == 1 or self.N == 0:
-            return out
-        logs = self.log[1:]
-        fail = np.zeros(self.size - 1, dtype=bool)
         for l in arith.factor(m).primes:
-            fail |= logs % l == 0
-        out[1:] = fail
+            out[1:] |= self.log[1:] % l == 0
         return out
 
     def add_fail_mask(self, e: FPoly) -> np.ndarray:
@@ -185,6 +169,28 @@ class SmallFieldEngine:
 
     def primitive_mask(self) -> np.ndarray:
         return ~self.mult_fail_mask(self.N)
+
+    def pff_mask(self) -> np.ndarray:
+        """True where w is primitive and free with a free inverse."""
+        free = self.free_mask()
+        return free & free[self.inv_idx] & self.primitive_mask()
+
+    # -- enumeration ----------------------------------------------------------
+
+    def min_polys(self, mask: np.ndarray) -> list[FPoly]:
+        """Distinct minimal polynomials of the masked nonzero elements, sorted.
+
+        Two elements share a minimal polynomial iff they are conjugate, so one
+        element per orbit of w -> w^q (log -> q log mod N) is enough; the
+        orbit's least log picks it.
+        """
+        logs = self.log[np.nonzero(mask)[0]]
+        least = logs
+        for _ in range(1, self.n):
+            logs = logs * self.q % self.N
+            least = np.minimum(least, logs)
+        roots = self.exp[np.unique(least)]
+        return sorted((fpoly.min_poly(self.element_of(int(i))) for i in roots), key=FPoly.sort_key)
 
 
 @functools.lru_cache(maxsize=64)

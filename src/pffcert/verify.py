@@ -214,13 +214,7 @@ def check_exceptions(limit: int = 5000) -> list[CheckResult]:
 
 def primitive_polynomials(q: int, n: int) -> list[FPoly]:
     eng = engine_for(q, n)
-    polys = {}
-    import numpy as np
-
-    for idx in np.nonzero(eng.primitive_mask())[0]:
-        mp = fpoly.min_poly(eng.element_of(int(idx)))
-        polys[mp.coeffs] = mp
-    return sorted(polys.values(), key=FPoly.sort_key)
+    return eng.min_polys(eng.primitive_mask())
 
 
 def check_counts() -> list[CheckResult]:

@@ -51,6 +51,21 @@ def test_charsum_command():
     assert "nearest=-1" in out
 
 
+def test_prime_field_of_two_elements():
+    assert run_cli("search", "2", "1", "--all")[:2] == (0, "x + 1\n")
+    code, out, _ = run_cli("charsum", "2", "1")
+    assert code == 0 and "nearest=-1" in out
+
+
+def test_exhaustive_commands_stop_at_the_engine_limit():
+    # 2^17 elements is within the default --budget but past the engine
+    for args in (("search", "2", "17", "--all"), ("search", "2", "17", "--count"),
+                 ("charsum", "2", "17")):
+        code, out, err = run_cli(*args)
+        assert code == 5, args
+        assert out == "" and err.startswith("budget exceeded: "), args
+
+
 def test_verify_poly_command():
     assert main(["verify", "7", "4", "2", "1", "1"]) == 0
     assert main(["verify", "2", "1", "1", "0", "1"]) == 3  # x^3+x+1: not PFF

@@ -104,9 +104,20 @@ def test_search_paths_agree():
     complete = {f.coeffs for f in pff.search_pff(3, 5, "all")}
     first = pff.search_pff(3, 5, "first")[0]
     assert first.coeffs in complete
-    # beyond the table limit, the tower walk still returns a verified hit
+    # on a larger field the tower walk's hit passes the single-polynomial check
     hit = pff.search_pff(2, 13, "first")[0]
     assert pff.verify_pff_polynomial(hit).is_pff
+
+
+def test_exhaustive_search_runs_on_the_engine():
+    # 6561 elements, more than any field of the exceptional-pair sweep
+    complete = pff.search_pff(3, 8, "all")
+    assert len({f.coeffs for f in complete}) == 48
+    assert complete == sorted(complete, key=FPoly.sort_key)
+    assert pff.search_pff(3, 8, "count") == complete
+    assert pff.count_pff_elements(3, 8) == 8 * 48
+    first = pff.search_pff(3, 8, "first")[0]
+    assert first.coeffs in {f.coeffs for f in complete}
 
 
 def test_brute_N_basics():

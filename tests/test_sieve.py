@@ -136,6 +136,12 @@ def test_eval_R_table_rows():
     assert basic.R >= 2.2779
 
 
+def test_eval_R_rejects_a_fractional_exponent():
+    # 2 rho n = 20/7: no float-derived R is ever returned
+    with pytest.raises(ValueError):
+        eval_R(3, 10, 2, Fraction(1, 7), 4)
+
+
 def test_eval_R_pass_verdict_matches_key_ineq():
     for q, n in [(5, 9), (3, 13), (2, 45), (4, 35)]:
         profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
@@ -307,6 +313,15 @@ def test_certify_agrees_with_search_small():
         found = pff.search_pff(q, n, "all", budget=10**5)
         assert (cert.status == "PFF") == bool(found), (q, n)
         assert cert.status != "UNDECIDED"
+
+
+def test_certify_falls_back_to_direct_search():
+    # (2, 6) passes no bound; without the witness table it is searched
+    cert = certify(2, 6, CertifyConfig(use_witness_table=False))
+    assert (cert.status, cert.method) == ("PFF", "direct-search")
+    assert pff.verify_pff_polynomial(cert.witness).is_pff
+    cert = certify(2, 6, CertifyConfig(use_witness_table=False, search_budget=10))
+    assert (cert.status, cert.method, cert.witness) == ("UNDECIDED", None, None)
 
 
 BOUND_METHODS = {"nosieve-bound", "keyineq-additive", "keyineq-full", "custom-decomposition"}

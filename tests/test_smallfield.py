@@ -7,7 +7,7 @@ import pytest
 from pffcert import pff
 from pffcert.errors import BudgetExceeded
 from pffcert.fpoly import FPoly, is_e_free
-from pffcert.smallfield import engine_for
+from pffcert.smallfield import ENGINE_LIMIT, engine_for
 
 FIELDS = [(2, 6), (3, 4), (4, 3), (5, 3), (9, 2), (8, 2), (2, 9)]
 
@@ -52,5 +52,27 @@ def test_freeness_masks(q, n):
 
 
 def test_budget_guard():
+    # 2^17 is the first power of two past ENGINE_LIMIT
+    assert 2**16 <= ENGINE_LIMIT < 2**17
     with pytest.raises(BudgetExceeded):
-        engine_for(2, 13)
+        engine_for(2, 17)
+
+
+def test_prime_field_of_two_elements():
+    # N = q^n - 1 = 1: the only nonzero element is 1, primitive and free
+    eng = engine_for(2, 1)
+    assert eng.generator == eng.tower.one_element()
+    assert list(eng.exp) == [1] and list(eng.log) == [-1, 0]
+    assert list(eng.abs_trace) == [0, 1]
+    assert pff.count_pff_elements(2, 1) == 1
+    assert [f.coeffs for f in pff.search_pff(2, 1, "all")] == [(1, 1)]
+
+
+@pytest.mark.parametrize("q,n", FIELDS)
+def test_generator_is_the_least_index_one(q, n):
+    eng = engine_for(q, n)
+    assert eng.generator == eng.tower.generator()
+    gen_idx = eng.index_of(eng.generator)
+    for idx in range(1, gen_idx):
+        assert not pff.is_primitive(eng.element_of(idx))
+    assert pff.is_primitive(eng.generator)
