@@ -215,7 +215,8 @@ def poly_phi(engine: SmallFieldEngine, D: FPoly) -> int:
         if e:
             d = P.degree
             out *= q ** (e * d) - q ** ((e - 1) * d)
-    assert rest.is_one(), "D must divide x^n - 1"
+    if not rest.is_one():
+        raise NotADivisor(f"{D} does not divide x^{engine.n} - 1")
     return out
 
 
@@ -230,7 +231,8 @@ def poly_moebius(engine: SmallFieldEngine, D: FPoly) -> int:
         if e > 1:
             return 0
         cnt += e
-    assert rest.is_one()
+    if not rest.is_one():
+        raise NotADivisor(f"{D} does not divide x^{engine.n} - 1")
     return -1 if cnt % 2 else 1
 
 

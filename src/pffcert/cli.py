@@ -12,12 +12,12 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import charsum, pff, verify
+from . import arith, charsum, pff, verify
 from .errors import BudgetExceeded, PffcertError
 from .fpoly import FPoly
 from .gf import field_for_order
 from .sieve import CertifyConfig, certify
-from .smallfield import engine_for
+from .smallfield import ENGINE_LIMIT, engine_for
 
 EXIT_BY_STATUS = {"PFF": 0, "NOT_PFF": 3, "UNDECIDED": 4}
 
@@ -54,14 +54,12 @@ def _budgets(args) -> dict:
     return {
         "search_budget": args.budget,
         "factor_effort": args.factor_effort,
-        "seed": args.seed,
     }
 
 
 def cmd_certify(args) -> int:
     t0 = time.time()
-    cfg = CertifyConfig(search_budget=args.budget, factor_effort=args.factor_effort,
-                        seed=args.seed)
+    cfg = CertifyConfig(search_budget=args.budget, factor_effort=args.factor_effort)
     cert = certify(args.q, args.n, cfg)
     report = RunReport("certify", {"q": args.q, "n": args.n},
                        cert.to_json_dict(), time.time() - t0, _budgets(args))
@@ -168,14 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "whose inverses are also free, in GF(q^n) over GF(q).",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--budget", type=int, default=10**7,
+    parser.add_argument("--budget", type=int, default=pff.SEARCH_BUDGET,
                         help="cap on q^n for searches; --all/--count are further "
-                             "capped at the engine limit of 10^5 elements")
-    parser.add_argument("--factor-effort", type=int, default=2_000_000,
+                             f"capped at the engine limit of {ENGINE_LIMIT} elements")
+    parser.add_argument("--factor-effort", type=int, default=arith.DEFAULT_EFFORT,
                         help="Pollard-rho iterations per composite cofactor of each "
                              "piece Phi_d(q) of q^n - 1; a cofactor that outlasts it is "
                              "bounded, not fatal")
-    parser.add_argument("--seed", type=int, default=2024, help="seed for randomized splitting")
     parser.add_argument("--out", type=str, default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -257,9 +257,14 @@ def _equal_degree_split(f: FPoly, d: int, rng: random.Random) -> list[FPoly]:
     return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
 
-def factor_squarefree(f: FPoly, seed: int = 2024) -> list[FPoly]:
+# Seeds the random splitting polynomials of Cantor-Zassenhaus; the factors
+# come back sorted, so the seed changes only the time a split takes.
+_SPLIT_SEED = 2024
+
+
+def factor_squarefree(f: FPoly) -> list[FPoly]:
     """Irreducible factors of a squarefree monic polynomial, sorted deterministically."""
-    rng = random.Random(seed)
+    rng = random.Random(_SPLIT_SEED)
     out: list[FPoly] = []
     for d, block in _distinct_degree(f.monic()):
         out.extend(_equal_degree_split(block, d, rng))
@@ -286,7 +291,6 @@ class FOrderProfile:
     s: int
     g_factors: tuple[FPoly, ...]
     G_factors: tuple[FPoly, ...]
-    seed: int
 
     @property
     def m(self) -> int:
@@ -315,7 +319,7 @@ def n_star_of(n: int, p: int) -> int:
     return n
 
 
-def factor_xn_minus_1(F, n: int, seed: int = 2024) -> FOrderProfile:
+def factor_xn_minus_1(F, n: int) -> FOrderProfile:
     """Factor x^(n*) - 1 over F and classify factors by degree against s.
 
     Freeness over x^n - 1 only ever depends on this radical, so the profile
@@ -325,14 +329,14 @@ def factor_xn_minus_1(F, n: int, seed: int = 2024) -> FOrderProfile:
     nstar = n_star_of(n, F.char)
     if nstar == 1:
         xm1 = FPoly.make(F, (F.neg(1), 1))
-        return FOrderProfile(q, n, 1, 1, (), (xm1,), seed)
+        return FOrderProfile(q, n, 1, 1, (), (xm1,))
     s = arith.mult_order(q, nstar)
-    factors = factor_squarefree(FPoly.x_pow_n_minus_1(F, nstar), seed)
+    factors = factor_squarefree(FPoly.x_pow_n_minus_1(F, nstar))
     g = tuple(f for f in factors if f.degree < s)
     G = tuple(f for f in factors if f.degree == s)
     assert len(g) + len(G) == len(factors)
     assert sum(f.degree for f in factors) == nstar
-    return FOrderProfile(q, n, nstar, s, g, G, seed)
+    return FOrderProfile(q, n, nstar, s, g, G)
 
 
 # ---------------------------------------------------------------------------

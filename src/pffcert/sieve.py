@@ -1,19 +1,22 @@
 """The certification engine: reduced moduli, sieve decompositions, bounds.
 
 The certifier decides whether a pair (q, n) admits a primitive element
-that is free over GF(q) with a free inverse.  Bound verdicts are computed
-on exact rationals: a criterion of the shape q^(n/2) > B with rational B
-is decided by comparing q^n against B^2, so no verdict ever rests on
-floating point.  Floats appear only in reported R values.
+that is free over GF(q) with a free inverse.  Every bound it tries is a
+sieve decomposition, which passes when q^(n/2) > 2 W(core) Delta
+(`eval_decomposition`); `key_ineq` and `eval_R` serve the R(n) tables.
+Bound verdicts are computed on exact rationals: a criterion q^(n/2) > B
+with rational B is decided by comparing q^n against B^2, so no verdict
+ever rests on floating point.  Floats appear only in reported R values.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal
+from typing import Iterator, Literal
 
 from . import arith, fpoly, pff, witnesses
 from .arith import Factorization, factor, mult_order
@@ -154,10 +157,11 @@ def lemma_prime_n(q: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class SieveAtom:
     """One sieving atom: a prime of Q or an irreducible factor of one of
-    the two polynomial copies; weight p for primes, q^deg for polynomials."""
+    the two polynomial copies; weight p for primes, q^deg for polynomials.
+    It prints as kind:value, as certificates list it."""
 
     kind: Literal["prime", "poly-x", "poly-y"]
     value: object
@@ -170,6 +174,9 @@ class SieveAtom:
     @staticmethod
     def poly(f: FPoly, side: str, q: int) -> "SieveAtom":
         return SieveAtom(f"poly-{side}", f, q**f.degree)
+
+    def __repr__(self) -> str:
+        return f"{self.kind}:{self.value}"
 
 
 @dataclass(frozen=True)
@@ -192,9 +199,11 @@ class SieveDecomposition:
     def r(self) -> int:
         return len(self.atoms)
 
-    @property
+    @functools.cached_property
     def delta(self) -> Fraction:
-        return Fraction(1) - sum(Fraction(1, a.weight) for a in self.atoms)
+        # the copies of x^n - 1's factors mostly share one weight q^s
+        counts = collections.Counter(a.weight for a in self.atoms)
+        return Fraction(1) - sum(Fraction(c, w) for w, c in counts.items())
 
     @property
     def Delta(self) -> Fraction:
@@ -204,16 +213,25 @@ class SieveDecomposition:
         return Fraction(self.r - 1, 1) / d + 2
 
     @property
+    def u(self) -> int:
+        """The number of primes counted in the core (an upper bound)."""
+        return arith.omega(self.core_m0) if self.core_omega is None else self.core_omega
+
+    @property
+    def t(self) -> int:
+        """The number of sieving primes."""
+        return sum(a.kind == "prime" for a in self.atoms)
+
+    @property
     def W_core(self) -> int:
-        omega = arith.omega(self.core_m0) if self.core_omega is None else self.core_omega
-        return 1 << (omega + len(self.core_f0) + len(self.core_g0))
+        return 1 << (self.u + len(self.core_f0) + len(self.core_g0))
 
 
 @dataclass(frozen=True)
 class DecompResult:
-    lhs: float  # q^(n/2)
-    rhs: float  # 2 W(k0) Delta
     passes: bool
+    rhs: Fraction  # 2 W(k0) Delta
+    margin: Fraction  # q^n / rhs^2: the pair passes iff it exceeds 1
     delta: Fraction
     Delta: Fraction
     W_core: int
@@ -226,8 +244,8 @@ def eval_decomposition(q: int, n: int, d: SieveDecomposition) -> DecompResult:
         raise NonPositiveDelta(f"delta = {delta} is not positive")
     Delta = d.Delta
     rhs = 2 * d.W_core * Delta
-    passes = Fraction(q) ** n > rhs * rhs
-    return DecompResult(float(q) ** (n / 2), float(rhs), passes, delta, Delta, d.W_core)
+    margin = Fraction(q) ** n / (rhs * rhs)
+    return DecompResult(margin > 1, rhs, margin, delta, Delta, d.W_core)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +301,14 @@ def _braced_value(
     return Fraction(2) ** w_exponent * (num / den + 2)
 
 
+def _R_value(rhs: Fraction, n: int) -> float:
+    """R with q^(n/2) > rhs iff q > R."""
+    return float(rhs) ** (2.0 / n)
+
+
 def _bound_from_braced(q: int, n: int, braced: Fraction, numerics: dict) -> BoundResult:
     passes = Fraction(q) ** n > braced * braced
-    R = float(braced) ** (2.0 / n)
+    R = _R_value(braced, n)
     numerics = dict(numerics, R=R)
     return BoundResult(passes, R, braced, numerics)
 
@@ -379,27 +402,59 @@ def choose_partition(q: int, n: int, strategy: str = "default", qdata: QData | N
 
 
 # ---------------------------------------------------------------------------
-# the non-sieving corollary bounds
+# the bound candidates
 # ---------------------------------------------------------------------------
 
 
-def nosieve_bound(q: int, n: int, W_Q: int, W_e: int) -> tuple[bool, dict]:
-    """Direct positivity from the square-root bound, no sieving.
+def _poly_core_decomposition(
+    q: int, factors: tuple[FPoly, ...], core_count: int, partition: Partition
+) -> SieveDecomposition:
+    """Core = product of primes in partition.core and the first core_count
+    polynomial factors on both sides; everything else sieves."""
+    core_polys = factors[:core_count]
+    sieved = factors[core_count:]
+    atoms = [SieveAtom.prime(l) for l in partition.sieving]
+    for side in ("x", "y"):
+        atoms += [SieveAtom.poly(f, side, q) for f in sieved]
+    m0 = math.prod(partition.core)
+    return SieveDecomposition(m0, core_polys, core_polys, tuple(atoms), partition.u)
 
-    Plain form: q^(n/2) > 2 W(Q) W(e)^2.  Sharper epsilon form (g = h = e):
-    q^n + eps_e > 2 q^(n/2) (W(Q) W(e) - 1)(W(e) - 1), checked by squaring.
+
+def bound_candidates(
+    q: int, n: int, qdata: QData, profile: FOrderProfile
+) -> Iterator[tuple[str, SieveDecomposition]]:
+    """The (method, decomposition) pairs certify scores, in the order it tries them.
+
+    All are built from the K irreducible factors of the reduction target e,
+    the first k0 of which have degree below s = ord_(n*)(q):
+      keyineq-additive      the first k0 factors in the core, no sieving prime;
+      nosieve-bound         all K factors in the core, no sieving prime;
+      keyineq-full          the first k0 factors, each partition that sieves;
+      custom-decomposition  k = K..0 factors in the core, every partition.
+    With e = x^(n*) - 1, a keyineq-* decomposition has 2 W(core) Delta equal
+    to `key_ineq(..., refined=False).braced` for its partition, and delta <= 0
+    exactly where key_ineq's denominator is not positive; certify skips those.
     """
-    Wk = W_Q * W_e * W_e
-    plain = Fraction(q) ** n > 4 * Wk * Wk
-    eps = -1 if W_e == 1 else 1
-    B = 2 * (W_Q * W_e - 1) * (W_e - 1)
-    lhs = Fraction(q) ** n + eps
-    sharp = lhs > 0 and lhs * lhs > Fraction(q) ** n * B * B
-    return plain or sharp, {
-        "W_Q": W_Q, "W_e": W_e, "W_k": Wk,
-        "plain": plain, "sharp": sharp,
-        "bound": float(2 * Wk) ** (2.0 / n),
-    }
+    e = reduction_target(q, n)
+    if e.degree == profile.n_star:  # e = x^(n*) - 1
+        factors = profile.all_factors
+    else:
+        factors = tuple(fpoly.factor_squarefree(e))
+    k0 = sum(f.degree < profile.s for f in factors)
+    strategies = ["default", "all-core"] + [f"sieve-{t}" for t in range(1, len(qdata.primes) + 1)]
+
+    @functools.cache
+    def partition(strategy: str) -> Partition:
+        return choose_partition(q, n, strategy, qdata)
+
+    yield "keyineq-additive", _poly_core_decomposition(q, factors, k0, partition("all-core"))
+    yield "nosieve-bound", _poly_core_decomposition(q, factors, len(factors), partition("all-core"))
+    for strat in strategies:
+        if partition(strat).t:
+            yield "keyineq-full", _poly_core_decomposition(q, factors, k0, partition(strat))
+    for k in range(len(factors), -1, -1):
+        for strat in strategies:
+            yield "custom-decomposition", _poly_core_decomposition(q, factors, k, partition(strat))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +493,7 @@ class Certificate:
                 return {"decimal": f"{float(v):.12g}", "rational": f"{v.numerator}/{v.denominator}"}
             if isinstance(v, float):
                 return {"decimal": f"{v:.12g}", "rational": None}
-            if isinstance(v, FPoly):
+            if isinstance(v, (FPoly, SieveAtom)):
                 return str(v)
             if isinstance(v, dict):
                 return {k: enc(x) for k, x in v.items()}
@@ -461,10 +516,9 @@ class Certificate:
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    search_budget: int = 10**7
-    factor_effort: int = 2_000_000
+    search_budget: int = pff.SEARCH_BUDGET
+    factor_effort: int = arith.DEFAULT_EFFORT
     use_witness_table: bool = True
-    seed: int = 2024
 
 
 def _factoring_evidence(qdata: QData) -> tuple[dict, tuple[str, ...]]:
@@ -484,48 +538,15 @@ def _factoring_evidence(qdata: QData) -> tuple[dict, tuple[str, ...]]:
     return numerics, tuple(notes)
 
 
-def _poly_core_decomposition(
-    q: int, qdata: QData, factors: tuple[FPoly, ...], core_count: int, partition: Partition
-) -> SieveDecomposition:
-    """Core = product of primes in partition.core and the first core_count
-    polynomial factors on both sides; everything else sieves."""
-    core_polys = factors[:core_count]
-    sieved = factors[core_count:]
-    atoms = [SieveAtom.prime(l) for l in partition.sieving]
-    for f in sieved:
-        atoms.append(SieveAtom.poly(f, "x", q))
-    for f in sieved:
-        atoms.append(SieveAtom.poly(f, "y", q))
-    m0 = math.prod(partition.core) if partition.core else 1
-    return SieveDecomposition(m0, core_polys, core_polys, tuple(atoms), partition.u)
-
-
-def _decomposition_sweep(q: int, n: int, qdata: QData, e: FPoly) -> tuple[SieveDecomposition, DecompResult] | None:
-    """Deterministic sweep of core/atom splits built from the factors of e."""
-    factors = tuple(sorted(fpoly.factor_squarefree(e.monic()), key=FPoly.sort_key))
-    strategies = ["default", "all-core"] + [f"sieve-{t}" for t in range(1, len(qdata.primes) + 1)]
-    for k in range(len(factors), -1, -1):
-        for strat in strategies:
-            part = choose_partition(q, n, strat, qdata)
-            d = _poly_core_decomposition(q, qdata, factors, k, part)
-            if d.delta <= 0:
-                continue
-            res = eval_decomposition(q, n, d)
-            if res.passes:
-                return d, res
-    return None
-
-
 def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
     """Decide PFF / NOT_PFF for (q, n), recording the winning criterion.
 
     Pipeline: trivial n <= 2; exceptional pairs; the prime-n congruence
-    criterion; the core-atom inequality (additive, then with multiplicative
-    sieving over partition strategies); the non-sieving bounds; a sweep of
-    general decompositions; finally a known witness polynomial or direct
-    search.  A cofactor of q^n - 1 that resists factoring costs no verdict:
-    the bounds use an upper bound on its number of primes.  UNDECIDED is
-    only reachable with tiny budgets.
+    criterion; the sieve decompositions of `bound_candidates`, in order,
+    each scored by `eval_decomposition`; finally a known witness polynomial
+    or direct search.  A cofactor of q^n - 1 that resists factoring costs no
+    verdict: the bounds use an upper bound on its number of primes.
+    UNDECIDED is only reachable with tiny budgets.
     """
     cfg = config or CertifyConfig()
     arith.prime_power(q)  # NotPrime unless q is a prime power
@@ -552,54 +573,22 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
     qdata = compute_Q(q, n, cfg.factor_effort)
     q_numerics, q_notes = _factoring_evidence(qdata)
 
-    def bound_cert(method: str, numerics: dict) -> Certificate:
-        return Certificate(q, n, "PFF", method, numerics=dict(numerics, **q_numerics), notes=q_notes)
-
-    F = field_for_order(q)
-    profile = fpoly.factor_xn_minus_1(F, n, cfg.seed)
-
-    # (4) additive-only core-atom inequality, refined then exact
-    for refined in (True, False):
-        try:
-            res = key_ineq(q, n, profile, choose_partition(q, n, "all-core", qdata), refined, qdata)
-        except DenominatorNonPositive:
+    profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
+    for method, d in bound_candidates(q, n, qdata, profile):
+        if d.delta <= 0:
             continue
+        res = eval_decomposition(q, n, d)
         if res.passes:
-            return bound_cert("keyineq-additive", res.numerics)
+            numerics = {
+                "delta": res.delta, "Delta": res.Delta, "W_core": res.W_core,
+                "u": d.u, "t": d.t, "core_m0": d.core_m0,
+                "core_degrees": [f.degree for f in d.core_f0],
+                "atoms": list(d.atoms),
+                "rhs": res.rhs, "R": _R_value(res.rhs, n), "margin": res.margin,
+            }
+            return Certificate(q, n, "PFF", method, numerics=dict(numerics, **q_numerics), notes=q_notes)
 
-    # (5) non-sieving bounds on the reduced polynomial target
-    e = reduction_target(q, n)
-    e_factors = fpoly.factor_squarefree(e.monic())
-    ok, numerics = nosieve_bound(q, n, 1 << qdata.omega_bound, 1 << len(e_factors))
-    if ok:
-        return bound_cert("nosieve-bound", dict(numerics, target=str(e)))
-
-    # (6) multiplicative sieving over partition strategies
-    for strat in ["default"] + [f"sieve-{t}" for t in range(1, len(qdata.primes) + 1)]:
-        part = choose_partition(q, n, strat, qdata)
-        if part.t == 0:
-            continue
-        for refined in (True, False):
-            try:
-                res = key_ineq(q, n, profile, part, refined, qdata)
-            except DenominatorNonPositive:
-                continue
-            if res.passes:
-                return bound_cert("keyineq-full", dict(res.numerics, strategy=strat))
-
-    # (7) general decompositions over the reduced target
-    hit = _decomposition_sweep(q, n, qdata, e)
-    if hit is not None:
-        d, res = hit
-        return bound_cert("custom-decomposition", {
-            "delta": res.delta, "Delta": res.Delta, "W_core": res.W_core,
-            "lhs": res.lhs, "rhs": res.rhs,
-            "core_m0": d.core_m0,
-            "core_degrees": [f.degree for f in d.core_f0],
-            "atoms": [f"{a.kind}:{a.value}" for a in d.atoms],
-        })
-
-    # (8) known witness polynomial, then direct search
+    # known witness polynomial, then direct search
     if cfg.use_witness_table:
         w = witnesses.lookup(q, n)
         if w is not None:

@@ -19,8 +19,8 @@ from .gf import field_for_order
 from .sieve import (
     EXCEPTIONAL_PAIRS,
     Partition,
-    SieveAtom,
     SieveDecomposition,
+    _poly_core_decomposition,
     compute_Q,
     eval_decomposition,
     eval_R,
@@ -58,7 +58,8 @@ def recompute_r_row(row: goldens.RTableRow):
     u = u_pool - row.t
     if row.t:
         qd = compute_Q(q, n)
-        assert set(row.sieving_primes) <= set(qd.primes)
+        if not set(row.sieving_primes) <= set(qd.primes):
+            raise ValueError(f"R({q},{n}): sieving primes {row.sieving_primes} are not all primes of Q")
         part = Partition(
             tuple(p for p in qd.primes if p not in row.sieving_primes), row.sieving_primes
         )
@@ -110,15 +111,9 @@ def check_r_table_row(row: goldens.RTableRow) -> CheckResult:
 
 
 def _decomposition_from_golden(g: goldens.DecompositionGolden) -> SieveDecomposition:
-    e = reduction_target(g.q, g.n)
-    factors = sorted(fpoly.factor_squarefree(e.monic()), key=FPoly.sort_key)
-    core = tuple(factors[: g.core_poly_count])
-    atoms = [SieveAtom.prime(l) for l in g.sieving_primes]
-    for side in ("x", "y"):
-        for f in factors[g.core_poly_count :]:
-            atoms.append(SieveAtom.poly(f, side, g.q))
-    return SieveDecomposition(math.prod(g.core_primes) if g.core_primes else 1,
-                              core, core, tuple(atoms))
+    factors = tuple(fpoly.factor_squarefree(reduction_target(g.q, g.n)))
+    partition = Partition(g.core_primes, g.sieving_primes)
+    return _poly_core_decomposition(g.q, factors, g.core_poly_count, partition)
 
 
 def check_decomposition_golden(g: goldens.DecompositionGolden) -> CheckResult:

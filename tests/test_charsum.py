@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pffcert import arith, charsum as cs, pff, verify
+from pffcert.errors import NotADivisor
 from pffcert.fpoly import FPoly
 from pffcert.gf import tower_for
 from pffcert.sieve import compute_Q
@@ -32,6 +33,16 @@ def test_add_char_f_order():
     eng = engine_for(2, 6)
     for D in cs._all_monic_divisors(eng):
         assert len(cs.delta_set(eng, D)) == cs.poly_phi(eng, D)
+
+
+def test_poly_phi_and_moebius_reject_non_divisors():
+    # x^2 + x - 1 is irreducible over GF(3) and does not divide x^4 - 1
+    eng = engine_for(3, 4)
+    D = poly(3, 2, 1, 1)
+    with pytest.raises(NotADivisor):
+        cs.poly_phi(eng, D)
+    with pytest.raises(NotADivisor):
+        cs.poly_moebius(eng, D)
 
 
 def test_delta_set_invariant_under_base_scaling():

@@ -15,6 +15,7 @@ from pffcert.sieve import (
     Partition,
     SieveAtom,
     SieveDecomposition,
+    bound_candidates,
     certify,
     choose_partition,
     compute_Q,
@@ -170,7 +171,8 @@ def test_certify_examples():
     assert certify(2, 3).status == "NOT_PFF"
     c59 = certify(5, 9)
     assert c59.status == "PFF" and c59.method == "keyineq-additive"
-    assert abs(c59.numerics["R"] - 4.4809) < 1e-3
+    # the exact key inequality; the refined 4.4809 is pinned in test_key_ineq_5_9
+    assert abs(c59.numerics["R"] - 4.37719) < 1e-5
     c74 = certify(7, 4)
     assert c74.method == "polynomial-witness"
     assert str(c74.witness) == "x^4 + x^3 - x^2 - x - 2"
@@ -188,7 +190,8 @@ def test_certificate_json_roundtrip():
     c = certify(5, 9)
     blob = json.dumps(c.to_json_dict(), sort_keys=True)
     assert json.loads(blob)["status"] == "PFF"
-    assert json.loads(blob)["numerics"]["delta"]["rational"] == "1/1"
+    # the two copies of the degree-6 factor of x^9 - 1 sieve, 5^6 = 15625 each
+    assert json.loads(blob)["numerics"]["delta"]["rational"] == "15623/15625"
 
 
 def _random_decomposition(rng, q, n, qdata, factors):
@@ -315,6 +318,13 @@ def test_certify_agrees_with_search_small():
         assert cert.status != "UNDECIDED"
 
 
+def test_certify_searches_pairs_no_bound_settles():
+    # 4^4 = 256 elements: no decomposition passes and no witness is listed
+    cert = certify(4, 4)
+    assert (cert.status, cert.method) == ("PFF", "direct-search")
+    assert pff.verify_pff_polynomial(cert.witness).is_pff
+
+
 def test_certify_falls_back_to_direct_search():
     # (2, 6) passes no bound; without the witness table it is searched
     cert = certify(2, 6, CertifyConfig(use_witness_table=False))
@@ -363,19 +373,34 @@ def test_r_values_against_high_precision():
         assert res.passes == (row.q > hp)
 
 
+def test_recompute_r_row_rejects_sieving_primes_outside_Q():
+    import dataclasses
+
+    from pffcert import goldens
+    from pffcert.verify import recompute_r_row
+
+    row = next(r for r in goldens.ALL_R_ROWS if r.t)
+    bad = dataclasses.replace(row, sieving_primes=row.sieving_primes[:-1] + (7919,))
+    with pytest.raises(ValueError):
+        recompute_r_row(bad)
+
+
 def test_no_bound_passes_for_exceptional_pairs():
     # every criterion is a sufficient condition, so each must fail on the
     # five genuinely non-PFF pairs even with the exception list bypassed
-    from pffcert.sieve import (
-        EXCEPTIONAL_PAIRS,
-        _decomposition_sweep,
-        nosieve_bound,
-    )
+    from pffcert.sieve import EXCEPTIONAL_PAIRS
 
     for q, n in sorted(EXCEPTIONAL_PAIRS):
         assert not lemma_prime_n(q, n)
         qd = compute_Q(q, n)
         profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
+        methods = set()
+        for method, d in bound_candidates(q, n, qd, profile):
+            methods.add(method)
+            if d.delta > 0:
+                assert not eval_decomposition(q, n, d).passes, (q, n, method)
+        assert {"keyineq-additive", "nosieve-bound", "custom-decomposition"} <= methods
+        # key_ineq in both forms, over every prime partition, fails as well
         for t in range(len(qd.primes) + 1):
             part = Partition(qd.primes[: len(qd.primes) - t], qd.primes[len(qd.primes) - t :])
             for refined in (True, False):
@@ -383,11 +408,50 @@ def test_no_bound_passes_for_exceptional_pairs():
                     assert not key_ineq(q, n, profile, part, refined=refined).passes
                 except DenominatorNonPositive:
                     pass
-        e = reduction_target(q, n)
-        W_e = 1 << len(fpoly.factor_squarefree(e.monic()))
-        ok, _ = nosieve_bound(q, n, qd.radical.W, W_e)
-        assert not ok
-        assert _decomposition_sweep(q, n, qd, e) is None
+
+
+def test_bound_certificates_carry_the_exact_key_inequality():
+    # the certificate's rhs = 2 W(core) Delta is key_ineq's exact braced value
+    for q, n, effort in [(5, 9, arith.DEFAULT_EFFORT), (7, 35, 100), (7, 37, arith.DEFAULT_EFFORT),
+                         (13, 8, arith.DEFAULT_EFFORT)]:
+        cert = certify(q, n, CertifyConfig(factor_effort=effort))
+        assert cert.method == ("keyineq-full" if (q, n) == (13, 8) else "keyineq-additive")
+        qd = compute_Q(q, n, effort)
+        profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
+        sieving = tuple(a.value for a in cert.numerics["atoms"] if a.kind == "prime")
+        part = Partition(tuple(p for p in qd.primes if p not in sieving), sieving, qd.cofactor_omega)
+        exact = key_ineq(q, n, profile, part, refined=False, qdata=qd)
+        assert exact.passes
+        assert cert.numerics["rhs"] == exact.braced
+        assert cert.numerics["margin"] == Fraction(q) ** n / exact.braced**2
+        assert cert.numerics["R"] == exact.R
+        assert (cert.numerics["u"], cert.numerics["t"]) == (exact.numerics["u"], exact.numerics["t"])
+
+
+def test_key_inequality_candidates_equal_key_ineq_on_the_acceptance_grid():
+    # on x^(n*) - 1, the keyineq-* decompositions score exactly what
+    # key_ineq(refined=False) does, and have delta <= 0 exactly where its
+    # denominator is not positive
+    compared = 0
+    for q, n in ACCEPTANCE_GRID:
+        if reduction_target(q, n).degree != fpoly.n_star_of(n, arith.prime_power(q)[0]):
+            continue
+        qd = compute_Q(q, n)
+        profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
+        for method, d in bound_candidates(q, n, qd, profile):
+            if not method.startswith("keyineq"):
+                continue
+            part = Partition(tuple(p for p in qd.primes if SieveAtom.prime(p) not in d.atoms),
+                             tuple(a.value for a in d.atoms if a.kind == "prime"))
+            try:
+                exact = key_ineq(q, n, profile, part, refined=False, qdata=qd)
+            except DenominatorNonPositive:
+                assert d.delta <= 0
+                continue
+            res = eval_decomposition(q, n, d)
+            assert (res.rhs, res.passes) == (exact.braced, exact.passes), (q, n, method)
+            compared += 1
+    assert compared > 500
 
 
 ACCEPTANCE_GRID = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13) for n in range(3, 25)]
