@@ -29,7 +29,18 @@ from .errors import (
     WrongDegree,
     ZeroElement,
 )
-from .fpoly import FOrderProfile, FPoly, f_order, factor_xn_minus_1, is_e_free, is_free, min_poly, sigma_eval
+from .fpoly import (
+    DegreeProfile,
+    FOrderProfile,
+    FPoly,
+    degree_profile,
+    f_order,
+    factor_xn_minus_1,
+    is_e_free,
+    is_free,
+    min_poly,
+    sigma_eval,
+)
 from .gf import Element, FieldTower, construct_tower, field_for_order, tower_for
 from .pff import PffVerdict, brute_N, is_m_free, is_primitive, pff_verdict, search_pff, verify_pff_polynomial
 from .sieve import (

@@ -275,6 +275,15 @@ class PartialFactorization:
     def cofactor(self) -> int:
         return math.prod(self.cofactors)
 
+    def split_cofactors(self, effort: int) -> "PartialFactorization":
+        """Run rho, `effort` iterations per composite, on the cofactors alone."""
+        if not self.cofactors:
+            return self
+        fs = dict(self.found.factors)
+        resisted = [r for c in self.cofactors for r in _split(c, effort, fs)]
+        found = Factorization(self.value // math.prod(resisted), tuple(sorted(fs.items())))
+        return PartialFactorization(self.value, found, tuple(sorted(resisted)))
+
 
 def cyclotomic_value(q: int, d: int) -> int:
     """Phi_d(q) = prod over e | d of (q^e - 1)^moebius(d/e), for q >= 2."""
@@ -298,10 +307,13 @@ def factor_cyclotomic(q: int, d: int, effort: int = DEFAULT_EFFORT) -> PartialFa
     that divides what is left is prime, since its own prime factors are
     smaller candidates and were stripped before it.  Brent's rho splits the
     rest, `effort` iterations per composite; a part that resists is kept as a
-    cofactor rather than failing the piece.
+    cofactor rather than failing the piece.  Effort 0 runs no rho; a higher
+    effort reuses the cached effort-0 result and runs rho on its cofactors.
     """
     if q < 2 or d < 1:
         raise ValueError("factor_cyclotomic() needs q >= 2 and d >= 1")
+    if effort > 0:
+        return factor_cyclotomic(q, d, 0).split_cofactors(effort)
     value = cyclotomic_value(q, d)
     m = value
     fs: dict[int, int] = {}
@@ -319,7 +331,7 @@ def factor_cyclotomic(q: int, d: int, effort: int = DEFAULT_EFFORT) -> PartialFa
             fs[p] = fs.get(p, 0) + 1
             m //= p
         p += step
-    resisted = _split(m, effort, fs)
+    resisted = _split(m, 0, fs)
     found = Factorization(value // math.prod(resisted), tuple(sorted(fs.items())))
     return PartialFactorization(value, found, tuple(sorted(resisted)))
 

@@ -170,9 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cap on q^n for searches; --all/--count are further "
                              f"capped at the engine limit of {ENGINE_LIMIT} elements")
     parser.add_argument("--factor-effort", type=int, default=arith.DEFAULT_EFFORT,
-                        help="Pollard-rho iterations per composite cofactor of each "
-                             "piece Phi_d(q) of q^n - 1; a cofactor that outlasts it is "
-                             "bounded, not fatal")
+                        help="ceiling on the Pollard-rho iterations per composite "
+                             "cofactor of each piece Phi_d(q) of q^n - 1; certify runs rho "
+                             "only once every bound has failed on trial division alone, and "
+                             "a cofactor that outlasts it is bounded, not fatal")
     parser.add_argument("--out", type=str, default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 

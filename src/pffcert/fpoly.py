@@ -340,6 +340,77 @@ def factor_xn_minus_1(F, n: int) -> FOrderProfile:
 
 
 # ---------------------------------------------------------------------------
+# degrees of the factors of the reduction target, without factoring
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CyclotomicFactor:
+    """The i-th irreducible factor of Phi_d(x) over GF(q), known only by its degree."""
+
+    d: int
+    i: int
+    degree: int
+
+    def __str__(self) -> str:
+        return f"Phi_{self.d}#{self.i}"
+
+
+@dataclass(frozen=True)
+class DegreeProfile:
+    """The factor degrees of the reduction target e = x^e_degree - 1 over GF(q).
+
+    e_degree is 1 for n = 3 with q = 2 mod 3, 2 for n = 4 with q = 3 mod 4,
+    and n* otherwise.  Over GF(q), with p not dividing d, Phi_d(x) splits into
+    phi(d)/ord_d(q) irreducible factors of degree ord_d(q) (Lidl and
+    Niederreiter, Finite Fields, Thm 2.47), so `factors`, sorted by degree,
+    needs integer arithmetic only.  s = ord_(n*)(q); the factors of degree
+    below s make up g, and m, omega_g and rho agree with FOrderProfile's: in
+    the two special cases e is exactly the g of x^n - 1.
+    """
+
+    q: int
+    n: int
+    n_star: int
+    s: int
+    e_degree: int
+    factors: tuple[CyclotomicFactor, ...]
+
+    @property
+    def m(self) -> int:
+        return sum(f.degree for f in self.factors if f.degree < self.s)
+
+    @property
+    def omega_g(self) -> int:
+        return sum(f.degree < self.s for f in self.factors)
+
+    @property
+    def rho(self) -> Fraction:
+        return Fraction(self.omega_g, self.n)
+
+
+def reduction_degree(q: int, n: int) -> int:
+    """The degree of the reduction target e = x^e_degree - 1 (see DegreeProfile)."""
+    if n == 3 and q % 3 == 2:
+        return 1
+    if n == 4 and q % 4 == 3:
+        return 2
+    return n_star_of(n, arith.prime_power(q)[0])
+
+
+def degree_profile(q: int, n: int) -> DegreeProfile:
+    """The DegreeProfile of (q, n), from cyclotomic coset counts."""
+    e_degree = reduction_degree(q, n)
+    factors = []
+    for d in arith.divisors(e_degree):
+        deg = arith.mult_order(q, d)
+        factors += [CyclotomicFactor(d, i, deg) for i in range(1, arith.phi(d) // deg + 1)]
+    factors.sort(key=lambda f: f.degree)
+    nstar = n_star_of(n, arith.prime_power(q)[0])
+    return DegreeProfile(q, n, nstar, arith.mult_order(q, nstar), e_degree, tuple(factors))
+
+
+# ---------------------------------------------------------------------------
 # sigma evaluation, F-order, freeness, minimal polynomial
 # ---------------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from typing import Iterator, Literal
 from . import arith, fpoly, pff, witnesses
 from .arith import Factorization, factor, mult_order
 from .errors import DenominatorNonPositive, FactorTimeout, InvalidArgument, NonPositiveDelta
-from .fpoly import FOrderProfile, FPoly
+from .fpoly import CyclotomicFactor, DegreeProfile, FOrderProfile, FPoly
 from .gf import field_for_order
 
 EXCEPTIONAL_PAIRS = frozenset({(2, 3), (2, 4), (3, 4), (4, 3), (5, 4)})
@@ -98,8 +98,11 @@ def compute_Q(q: int, n: int, effort: int = arith.DEFAULT_EFFORT) -> QData:
     gcd(n, q - 1); the piece Phi_1(q) = q - 1 only enters R.  A cofactor
     has no prime below arith.TRIAL_BOUND > n, and such a prime divides at
     most one piece (a prime in Phi_d(q) and Phi_d'(q), d < d', divides
-    d'), so Phi_1(q)'s cofactor lies in R and the others in Q.
+    d'), so Phi_1(q)'s cofactor lies in R and the others in Q.  `effort`
+    caps the rho iterations per composite; 0 stops after trial division.
     """
+    if n >= arith.TRIAL_BOUND:
+        raise InvalidArgument(f"n = {n} is not below the trial bound {arith.TRIAL_BOUND}")
     N = q**n - 1
     g = math.gcd(n, q - 1)
     in_N: dict[int, int] = {}
@@ -128,15 +131,10 @@ def reduction_target(q: int, n: int) -> FPoly:
     """The polynomial e with N(Q, x^n-1, x^n-1) = N(Q, e, e).
 
     x - 1 for n = 3 with q = 2 mod 3; x^2 - 1 for n = 4 with q = 3 mod 4;
-    otherwise the radical x^(n*) - 1.
+    otherwise the radical x^(n*) - 1.  The bounds read only the degrees of
+    its factors, from `fpoly.degree_profile`.
     """
-    F = field_for_order(q)
-    if n == 3 and q % 3 == 2:
-        return FPoly.make(F, (F.neg(1), 1))
-    if n == 4 and q % 4 == 3:
-        return FPoly.make(F, (F.neg(1), 0, 1))
-    nstar = fpoly.n_star_of(n, F.char)
-    return FPoly.x_pow_n_minus_1(F, nstar)
+    return FPoly.x_pow_n_minus_1(field_for_order(q), fpoly.reduction_degree(q, n))
 
 
 def lemma_prime_n(q: int, n: int) -> bool:
@@ -161,7 +159,8 @@ def lemma_prime_n(q: int, n: int) -> bool:
 class SieveAtom:
     """One sieving atom: a prime of Q or an irreducible factor of one of
     the two polynomial copies; weight p for primes, q^deg for polynomials.
-    It prints as kind:value, as certificates list it."""
+    A factor is an FPoly or, in certify, a CyclotomicFactor known by its
+    degree.  It prints as kind:value, as certificates list it."""
 
     kind: Literal["prime", "poly-x", "poly-y"]
     value: object
@@ -172,7 +171,7 @@ class SieveAtom:
         return SieveAtom("prime", p, p)
 
     @staticmethod
-    def poly(f: FPoly, side: str, q: int) -> "SieveAtom":
+    def poly(f: FPoly | CyclotomicFactor, side: str, q: int) -> "SieveAtom":
         return SieveAtom(f"poly-{side}", f, q**f.degree)
 
     def __repr__(self) -> str:
@@ -190,8 +189,8 @@ class SieveDecomposition:
     """
 
     core_m0: int
-    core_f0: tuple[FPoly, ...]
-    core_g0: tuple[FPoly, ...]
+    core_f0: tuple[FPoly | CyclotomicFactor, ...]
+    core_g0: tuple[FPoly | CyclotomicFactor, ...]
     atoms: tuple[SieveAtom, ...]
     core_omega: int | None = None
 
@@ -316,7 +315,7 @@ def _bound_from_braced(q: int, n: int, braced: Fraction, numerics: dict) -> Boun
 def key_ineq(
     q: int,
     n: int,
-    profile: FOrderProfile,
+    profile: DegreeProfile | FOrderProfile,
     partition: Partition,
     refined: bool = False,
     qdata: QData | None = None,
@@ -407,7 +406,7 @@ def choose_partition(q: int, n: int, strategy: str = "default", qdata: QData | N
 
 
 def _poly_core_decomposition(
-    q: int, factors: tuple[FPoly, ...], core_count: int, partition: Partition
+    q: int, factors: tuple[CyclotomicFactor, ...], core_count: int, partition: Partition
 ) -> SieveDecomposition:
     """Core = product of primes in partition.core and the first core_count
     polynomial factors on both sides; everything else sieves."""
@@ -421,40 +420,34 @@ def _poly_core_decomposition(
 
 
 def bound_candidates(
-    q: int, n: int, qdata: QData, profile: FOrderProfile
+    q: int, n: int, qdata: QData, profile: DegreeProfile
 ) -> Iterator[tuple[str, SieveDecomposition]]:
     """The (method, decomposition) pairs certify scores, in the order it tries them.
 
     All are built from the K irreducible factors of the reduction target e,
-    the first k0 of which have degree below s = ord_(n*)(q):
+    known by their degrees (`profile.factors`), the first k0 of which have
+    degree below s = ord_(n*)(q):
       keyineq-additive      the first k0 factors in the core, no sieving prime;
       nosieve-bound         all K factors in the core, no sieving prime;
       keyineq-full          the first k0 factors, each partition that sieves;
       custom-decomposition  k = K..0 factors in the core, every partition.
+    Each (core count, partition) is yielded once, under its first label.
     With e = x^(n*) - 1, a keyineq-* decomposition has 2 W(core) Delta equal
     to `key_ineq(..., refined=False).braced` for its partition, and delta <= 0
     exactly where key_ineq's denominator is not positive; certify skips those.
     """
-    e = reduction_target(q, n)
-    if e.degree == profile.n_star:  # e = x^(n*) - 1
-        factors = profile.all_factors
-    else:
-        factors = tuple(fpoly.factor_squarefree(e))
-    k0 = sum(f.degree < profile.s for f in factors)
+    factors, K, k0 = profile.factors, len(profile.factors), profile.omega_g
     strategies = ["default", "all-core"] + [f"sieve-{t}" for t in range(1, len(qdata.primes) + 1)]
-
-    @functools.cache
-    def partition(strategy: str) -> Partition:
-        return choose_partition(q, n, strategy, qdata)
-
-    yield "keyineq-additive", _poly_core_decomposition(q, factors, k0, partition("all-core"))
-    yield "nosieve-bound", _poly_core_decomposition(q, factors, len(factors), partition("all-core"))
-    for strat in strategies:
-        if partition(strat).t:
-            yield "keyineq-full", _poly_core_decomposition(q, factors, k0, partition(strat))
-    for k in range(len(factors), -1, -1):
-        for strat in strategies:
-            yield "custom-decomposition", _poly_core_decomposition(q, factors, k, partition(strat))
+    partitions = [choose_partition(q, n, strat, qdata) for strat in strategies]
+    all_core = partitions[1]
+    order = [("keyineq-additive", k0, all_core), ("nosieve-bound", K, all_core)]
+    order += [("keyineq-full", k0, part) for part in partitions if part.t]
+    order += [("custom-decomposition", k, part) for k in range(K, -1, -1) for part in partitions]
+    seen = set()
+    for method, k, part in order:
+        if (k, part) not in seen:
+            seen.add((k, part))
+            yield method, _poly_core_decomposition(q, factors, k, part)
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +514,15 @@ class CertifyConfig:
     use_witness_table: bool = True
 
 
-def _factoring_evidence(qdata: QData) -> tuple[dict, tuple[str, ...]]:
+def _factoring_evidence(qdata: QData, effort: int) -> tuple[dict, tuple[str, ...]]:
     """Numerics and notes for what a bound certificate assumes about Q."""
-    numerics: dict = {}
+    numerics: dict = {"factor_effort": effort}
     notes: list[str] = []
     if qdata.cofactors:
         bits, B, k = qdata.cofactor.bit_length(), arith.TRIAL_BOUND, qdata.cofactor_omega
         numerics.update(cofactor_bits=bits, trial_bound=B, cofactor_omega_bound=k)
-        notes.append(f"a {bits}-bit composite part of Q resisted factoring; it has no prime "
-                     f"below {B}, so at most {k} primes, all counted in the core")
+        notes.append(f"a {bits}-bit composite part of Q was not split at rho effort {effort}; "
+                     f"it has no prime below {B}, so at most {k} primes, all counted in the core")
     probable = [p for p in qdata.primes if p >= arith.DETERMINISTIC_PRIME_BOUND]
     if probable:
         numerics["probable_primes"] = probable
@@ -544,14 +537,20 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
     Pipeline: trivial n <= 2; exceptional pairs; the prime-n congruence
     criterion; the sieve decompositions of `bound_candidates`, in order,
     each scored by `eval_decomposition`; finally a known witness polynomial
-    or direct search.  A cofactor of q^n - 1 that resists factoring costs no
-    verdict: the bounds use an upper bound on its number of primes.
-    UNDECIDED is only reachable with tiny budgets.
+    or direct search.  The bounds read only integers: the degree profile of
+    the reduction target and Q from trial division, with no rho.  A cofactor
+    of q^n - 1 left unsplit costs no verdict: the bounds use an upper bound
+    on its number of primes.  Only when every bound fails while a cofactor
+    is left does rho run on the cofactors, up to `factor_effort` iterations
+    each, before the bounds are scored again.  UNDECIDED is only reachable
+    with tiny budgets.
     """
     cfg = config or CertifyConfig()
     arith.prime_power(q)  # NotPrime unless q is a prime power
     if n < 1:
         raise InvalidArgument(f"n = {n} is not a positive extension degree")
+    if cfg.factor_effort < 0:
+        raise InvalidArgument(f"factor effort {cfg.factor_effort} is negative")
 
     if n <= 2:
         return Certificate(q, n, "PFF", "trivial-n<=2",
@@ -570,23 +569,26 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
             notes=("relies on the primitive-element-with-nonzero-trace theorem as an external axiom",),
         )
 
-    qdata = compute_Q(q, n, cfg.factor_effort)
-    q_numerics, q_notes = _factoring_evidence(qdata)
-
-    profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
-    for method, d in bound_candidates(q, n, qdata, profile):
-        if d.delta <= 0:
-            continue
-        res = eval_decomposition(q, n, d)
-        if res.passes:
-            numerics = {
-                "delta": res.delta, "Delta": res.Delta, "W_core": res.W_core,
-                "u": d.u, "t": d.t, "core_m0": d.core_m0,
-                "core_degrees": [f.degree for f in d.core_f0],
-                "atoms": list(d.atoms),
-                "rhs": res.rhs, "R": _R_value(res.rhs, n), "margin": res.margin,
-            }
-            return Certificate(q, n, "PFF", method, numerics=dict(numerics, **q_numerics), notes=q_notes)
+    profile = fpoly.degree_profile(q, n)
+    for effort in sorted({0, cfg.factor_effort}):
+        qdata = compute_Q(q, n, effort)
+        for method, d in bound_candidates(q, n, qdata, profile):
+            if d.delta <= 0:
+                continue
+            res = eval_decomposition(q, n, d)
+            if res.passes:
+                numerics = {
+                    "delta": res.delta, "Delta": res.Delta, "W_core": res.W_core,
+                    "u": d.u, "t": d.t, "core_m0": d.core_m0,
+                    "core_degrees": [f.degree for f in d.core_f0],
+                    "atoms": list(d.atoms),
+                    "rhs": res.rhs, "R": _R_value(res.rhs, n), "margin": res.margin,
+                }
+                q_numerics, q_notes = _factoring_evidence(qdata, effort)
+                return Certificate(q, n, "PFF", method, numerics=dict(numerics, **q_numerics),
+                                   notes=q_notes)
+        if not qdata.cofactors:
+            break
 
     # known witness polynomial, then direct search
     if cfg.use_witness_table:

@@ -25,7 +25,6 @@ from .sieve import (
     eval_decomposition,
     eval_R,
     key_ineq,
-    reduction_target,
 )
 from .smallfield import engine_for
 
@@ -50,7 +49,7 @@ def _round_up(x: float, places: int) -> float:
 def recompute_r_row(row: goldens.RTableRow):
     """Recompute (s, rho, u, R) for a table row under the row's conventions."""
     q, n = row.q, row.n
-    profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
+    profile = fpoly.degree_profile(q, n)
     u_pool = (
         arith.omega(q**n - 1) if row.u_convention == "full"
         else compute_Q(q, n).radical.omega
@@ -111,7 +110,7 @@ def check_r_table_row(row: goldens.RTableRow) -> CheckResult:
 
 
 def _decomposition_from_golden(g: goldens.DecompositionGolden) -> SieveDecomposition:
-    factors = tuple(fpoly.factor_squarefree(reduction_target(g.q, g.n)))
+    factors = fpoly.degree_profile(g.q, g.n).factors
     partition = Partition(g.core_primes, g.sieving_primes)
     return _poly_core_decomposition(g.q, factors, g.core_poly_count, partition)
 
@@ -140,7 +139,7 @@ def check_decomposition_golden(g: goldens.DecompositionGolden) -> CheckResult:
 def check_sieved_r_golden(entry) -> CheckResult:
     q, n, core, sieving, bound = entry
     name = f"sieved-R({q},{n})"
-    profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
+    profile = fpoly.degree_profile(q, n)
     res = key_ineq(q, n, profile, Partition(tuple(core), tuple(sieving)), refined=True)
     ok = res.passes and res.R < bound
     return CheckResult("rvalues", name, ok, f"R={res.R:.4f} < {bound}")

@@ -89,7 +89,27 @@ def test_verify_suite_section(capsys):
 
 def test_invalid_input_exits_cleanly():
     for args in (("certify", "2", "0"), ("certify", "2", "-3"), ("certify", "6", "3"),
-                 ("certify", "1", "5"), ("charsum", "6", "2"), ("search", "2", "0")):
+                 ("certify", "1", "5"), ("charsum", "6", "2"), ("search", "2", "0"),
+                 ("--factor-effort", "-1", "certify", "7", "35")):
         code, out, err = run_cli(*args)
         assert code == 2, args
         assert out == "" and err.startswith("error: ") and "Traceback" not in err, args
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "pffcert", "certify", "5", "9"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "keyineq-additive" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "pffcert", "certify", "6", "3"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+
+
+def test_verify_suite_whole():
+    from pffcert import verify
+
+    checks = verify.verify_all()
+    assert [c for c in checks if not c.ok] == []
+    assert len(checks) == 355
+    assert {c.section for c in checks} == set(verify.SECTIONS)

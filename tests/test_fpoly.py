@@ -72,6 +72,26 @@ def test_profile_invariants():
         assert len(prof.G_factors) == (prof.n_star - prof.m) // prof.s
 
 
+def test_degree_profile_matches_the_factorization():
+    # coset counts give the factor degrees of x^(n*) - 1, and the same s, m,
+    # omega_g and rho, without factoring; the special targets are x - 1 and x^2 - 1
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        for n in range(3, 25):
+            F = field_for_order(q)
+            exact = factor_xn_minus_1(F, n)
+            prof = fpoly.degree_profile(q, n)
+            assert (prof.n_star, prof.s, prof.m, prof.omega_g, prof.rho) == (
+                exact.n_star, exact.s, exact.m, exact.omega_g, exact.rho), (q, n)
+            target = (exact.all_factors if prof.e_degree == prof.n_star
+                      else fpoly.factor_squarefree(FPoly.x_pow_n_minus_1(F, prof.e_degree)))
+            assert [f.degree for f in prof.factors] == [f.degree for f in target], (q, n)
+            special = 1 if n == 3 and q % 3 == 2 else 2 if n == 4 and q % 4 == 3 else None
+            assert prof.e_degree == (special or prof.n_star)
+    prof = fpoly.degree_profile(2, 21)
+    assert [str(f) for f in prof.factors] == ["Phi_1#1", "Phi_3#1", "Phi_7#1", "Phi_7#2",
+                                              "Phi_21#1", "Phi_21#2"]
+
+
 def test_sigma_eval_basics():
     t = tower_for(3, 4)
     F = t.F

@@ -393,13 +393,16 @@ def test_no_bound_passes_for_exceptional_pairs():
     for q, n in sorted(EXCEPTIONAL_PAIRS):
         assert not lemma_prime_n(q, n)
         qd = compute_Q(q, n)
-        profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
-        methods = set()
+        profile = fpoly.degree_profile(q, n)
+        methods, scored = set(), []
         for method, d in bound_candidates(q, n, qd, profile):
             methods.add(method)
+            scored.append(d)
             if d.delta > 0:
                 assert not eval_decomposition(q, n, d).passes, (q, n, method)
-        assert {"keyineq-additive", "nosieve-bound", "custom-decomposition"} <= methods
+        assert {"keyineq-additive", "custom-decomposition"} <= methods
+        # the unsieved bound is scored too: as keyineq-additive where every factor has degree < s
+        assert any(not d.atoms and len(d.core_f0) == len(profile.factors) for d in scored)
         # key_ineq in both forms, over every prime partition, fails as well
         for t in range(len(qd.primes) + 1):
             part = Partition(qd.primes[: len(qd.primes) - t], qd.primes[len(qd.primes) - t :])
@@ -416,7 +419,7 @@ def test_bound_certificates_carry_the_exact_key_inequality():
                          (13, 8, arith.DEFAULT_EFFORT)]:
         cert = certify(q, n, CertifyConfig(factor_effort=effort))
         assert cert.method == ("keyineq-full" if (q, n) == (13, 8) else "keyineq-additive")
-        qd = compute_Q(q, n, effort)
+        qd = compute_Q(q, n, cert.numerics["factor_effort"])
         profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
         sieving = tuple(a.value for a in cert.numerics["atoms"] if a.kind == "prime")
         part = Partition(tuple(p for p in qd.primes if p not in sieving), sieving, qd.cofactor_omega)
@@ -437,7 +440,7 @@ def test_key_inequality_candidates_equal_key_ineq_on_the_acceptance_grid():
         if reduction_target(q, n).degree != fpoly.n_star_of(n, arith.prime_power(q)[0]):
             continue
         qd = compute_Q(q, n)
-        profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
+        profile = fpoly.degree_profile(q, n)
         for method, d in bound_candidates(q, n, qd, profile):
             if not method.startswith("keyineq"):
                 continue
@@ -533,3 +536,87 @@ def test_certify_rejects_invalid_input():
     for q in (6, 1, 0):
         with pytest.raises(NotPrime):
             certify(q, 3)
+
+
+def test_compute_Q_rejects_n_past_the_trial_bound():
+    # a cofactor prime of at least TRIAL_BOUND could otherwise divide two pieces
+    with pytest.raises(InvalidArgument):
+        compute_Q(2, arith.TRIAL_BOUND)
+
+
+def test_certify_rejects_a_negative_factor_effort():
+    with pytest.raises(InvalidArgument):
+        certify(7, 35, CertifyConfig(factor_effort=-1))
+
+
+def test_bound_candidates_yield_each_decomposition_once():
+    qd, profile = compute_Q(2, 21), fpoly.degree_profile(2, 21)
+    keys = [(len(d.core_f0), d.core_m0, d.atoms) for _, d in bound_candidates(2, 21, qd, profile)]
+    assert len(keys) == len(set(keys))
+    # k0 = K = 1 on x - 1: the unsieved bound is the additive one, labelled as such
+    methods = [m for m, _ in bound_candidates(5, 3, compute_Q(5, 3), fpoly.degree_profile(5, 3))]
+    assert "nosieve-bound" not in methods and methods[0] == "keyineq-additive"
+
+
+def test_bound_atoms_are_labelled_cyclotomic_factors():
+    cert = certify(5, 9)
+    # x^9 - 1 over GF(5): Phi_1 and Phi_3 split into degree-1 and degree-2 factors, Phi_9 stays
+    assert [str(a) for a in cert.numerics["atoms"]] == ["poly-x:Phi_9#1", "poly-y:Phi_9#1"]
+    assert cert.numerics["core_degrees"] == [1, 2]
+    assert cert.numerics["factor_effort"] == 0
+
+
+def test_bound_stages_factor_no_polynomial_and_build_no_field(monkeypatch):
+    import functools
+
+    from pffcert import gf
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a bound stage factored a polynomial or built GF(q)")
+
+    for name in ("_base_field_cached", "_cached_tower"):  # empty caches, restored afterwards
+        monkeypatch.setattr(gf, name, functools.lru_cache(maxsize=None)(getattr(gf, name).__wrapped__))
+    monkeypatch.setattr(gf.PolyExtField, "_build_tables", boom)
+    monkeypatch.setattr(fpoly, "factor_squarefree", boom)
+    monkeypatch.setattr(fpoly, "factor_xn_minus_1", boom)
+    for q, n in [(125, 22), (121, 40), (128, 30), (81, 33), (64, 36)]:
+        cert = certify(q, n)
+        assert (cert.status, cert.method) == ("PFF", "keyineq-additive"), (q, n)
+
+
+def test_rho_runs_only_on_cofactors_once_every_bound_fails(monkeypatch):
+    import functools
+
+    # a fresh piece cache, and a record of every rho call as (number, effort)
+    monkeypatch.setattr(arith, "factor_cyclotomic",
+                        functools.lru_cache(maxsize=None)(arith.factor_cyclotomic.__wrapped__))
+    calls = []
+    split = arith._split
+
+    def spy(m, effort, fs):
+        calls.append((m, effort))
+        return split(m, effort, fs)
+
+    monkeypatch.setattr(arith, "_split", spy)
+    # the cofactor of Phi_35(7) costs omega_bound primes: make that fail every bound
+    monkeypatch.setattr(arith, "omega_bound", lambda c: 1000)
+    cert = certify(7, 35)
+    assert (cert.status, cert.method) == ("PFF", "keyineq-additive")
+    assert cert.numerics["factor_effort"] == arith.DEFAULT_EFFORT
+    assert "cofactor_bits" not in cert.numerics
+    # trial division ran once per piece; rho ran on the one cofactor it left
+    cofactor = 164222454513131834401  # 2127431041 * 77192844961
+    assert [m for m, e in calls if e > 0] == [cofactor]
+    assert len([m for m, e in calls if e == 0]) == len(arith.divisors(35))
+    # with a ceiling rho cannot split it under, the pair stays open
+    cert = certify(7, 35, CertifyConfig(factor_effort=100))
+    assert cert.status == "UNDECIDED"
+
+
+def test_certify_finds_the_exceptional_pairs_by_search_without_the_list(monkeypatch):
+    from pffcert import sieve
+
+    monkeypatch.setattr(sieve, "EXCEPTIONAL_PAIRS", frozenset())
+    for q, n in [(2, 3), (2, 4), (3, 4), (4, 3), (5, 4)]:
+        cert = certify(q, n)
+        assert (cert.status, cert.method, cert.witness) == ("NOT_PFF", "direct-search", None), (q, n)
