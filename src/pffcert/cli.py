@@ -51,18 +51,17 @@ def _emit(args, report: RunReport, human: str) -> None:
 
 
 def _budgets(args) -> dict:
-    return {
-        "search_budget": args.budget,
-        "factor_effort": args.factor_effort,
-    }
+    return {"search_budget": args.budget}
 
 
 def cmd_certify(args) -> int:
     t0 = time.time()
     cfg = CertifyConfig(search_budget=args.budget, factor_effort=args.factor_effort)
     cert = certify(args.q, args.n, cfg)
+    # only certify factors with rho, so only it reports the effort ceiling
+    budgets = {**_budgets(args), "factor_effort": args.factor_effort}
     report = RunReport("certify", {"q": args.q, "n": args.n},
-                       cert.to_json_dict(), time.time() - t0, _budgets(args))
+                       cert.to_json_dict(), time.time() - t0, budgets)
     lines = [f"({args.q},{args.n}): {cert.status}  method={cert.method}"]
     for key, val in cert.numerics.items():
         lines.append(f"  {key} = {val}")

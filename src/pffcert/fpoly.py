@@ -100,11 +100,18 @@ class FPoly:
         if not a or not b:
             return FPoly.zero(F)
         out = [0] * (len(a) + len(b) - 1)
+        bs = [(j, cb) for j, cb in enumerate(b) if cb]
+        if F.a == 1:
+            # over GF(p): sum plain ints, one % p per coefficient
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in bs:
+                        out[i + j] += ca * cb
+            p = F.p
+            return FPoly.make(F, [c % p for c in out])
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
+            if ca:
+                for j, cb in bs:
                     out[i + j] = F.add(out[i + j], F.mul(ca, cb))
         return FPoly.make(F, out)
 
@@ -116,16 +123,29 @@ class FPoly:
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
         d = other.degree
+        if len(self.coeffs) <= d:
+            return FPoly.zero(F), FPoly.make(F, self.coeffs)
+        rem = list(self.coeffs)
         lead_inv = F.inv(other.coeffs[-1])
-        quo = [0] * max(0, len(rem) - d)
+        quo = [0] * (len(rem) - d)
+        terms = [(j, oc) for j, oc in enumerate(other.coeffs) if oc]
+        if F.a == 1:
+            # over GF(p): rem holds plain ints, reduced when read and at the end
+            p = F.p
+            for i in range(len(rem) - d - 1, -1, -1):
+                c = rem[i + d] * lead_inv % p
+                if c:
+                    quo[i] = c
+                    for j, oc in terms:
+                        rem[i + j] -= c * oc
+            return FPoly.make(F, quo), FPoly.make(F, [r % p for r in rem[:d]])
         for i in range(len(rem) - d - 1, -1, -1):
             c = F.mul(rem[i + d], lead_inv)
             if c == 0:
                 continue
             quo[i] = c
-            for j, oc in enumerate(other.coeffs):
+            for j, oc in terms:
                 rem[i + j] = F.sub(rem[i + j], F.mul(c, oc))
         return FPoly.make(F, quo), FPoly.make(F, rem)
 
@@ -415,17 +435,23 @@ def degree_profile(q: int, n: int) -> DegreeProfile:
 # ---------------------------------------------------------------------------
 
 
-def sigma_eval(h: FPoly, x: "Element") -> "Element":
-    """h^sigma(x) = sum h_i * x^(q^i): the linearized action of h on x."""
-    tower = x.tower
-    acc = tower.zero_element()
-    conj = x
-    for i, c in enumerate(h.coeffs):
-        if i:
-            conj = conj.frobenius(1)
-        if c:
-            acc = acc + conj.scale(c)
-    return acc
+def conjugates(x: "Element", k: int) -> list["Element"]:
+    """[x, x^q, ..., x^(q^(k-1))]."""
+    out = [x]
+    while len(out) < k:
+        out.append(out[-1].frobenius(1))
+    return out
+
+
+def sigma_eval(h: FPoly, x: "Element", conjs: list["Element"] | None = None) -> "Element":
+    """h^sigma(x) = sum h_i * x^(q^i): the linearized action of h on x.
+
+    `conjs`, when given, is `conjugates(x, k)` for some k > deg h, so that a
+    caller evaluating many h on one x computes the conjugates once.
+    """
+    if conjs is None:
+        conjs = conjugates(x, len(h.coeffs))
+    return x.tower.combine(h.coeffs, [c.coeffs for c in conjs])
 
 
 def f_order(x: "Element") -> FPoly:

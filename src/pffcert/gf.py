@@ -11,13 +11,16 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import fpoly
 from .arith import factor, is_prime, prime_power
 from .errors import DivisionByZero, InvalidArgument, NotIrreducible, NotPrime
 from .fpoly import FPoly
 
-_TABLE_LIMIT = 1024  # build full mul/inv tables for base fields up to this order
+_TABLE_LIMIT = 1024  # build full mul/inv/add tables for base fields up to this order
 
 
 class PrimeField:
@@ -65,7 +68,11 @@ class PrimeField:
 
 
 class PolyExtField:
-    """GF(p^a) as GF(p)[u]/(modulus); elements are base-p packed ints."""
+    """GF(p^a) as GF(p)[u]/(modulus); elements are base-p packed ints.
+
+    Up to _TABLE_LIMIT elements, mul and inv (and, for odd p, add and neg)
+    read tables; in characteristic 2, addition is XOR of the packed ints.
+    """
 
     def __init__(self, base: PrimeField, modulus: FPoly):
         assert modulus.is_monic() and modulus.field is base
@@ -77,6 +84,8 @@ class PolyExtField:
         self.modulus = modulus
         self._mul_table: list[int] | None = None
         self._inv_table: list[int] | None = None
+        self._add_table: list[int] | None = None
+        self._neg_table: list[int] | None = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -91,19 +100,29 @@ class PolyExtField:
         return sum(int(d) % self.p * self.p**i for i, d in enumerate(digits))
 
     def add(self, x: int, y: int) -> int:
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return x ^ y
-        dx, dy = self.digits(x), self.digits(y)
-        return self.pack((a + b) % p for a, b in zip(dx, dy))
+        if self._add_table is not None:
+            return self._add_table[x * self.order + y]
+        return self._add_raw(x, y)
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        if self.p == 2:
+            return x ^ y
+        if self._add_table is not None:
+            return self._add_table[x * self.order + self._neg_table[y]]
+        return self._add_raw(x, self.neg(y))
 
     def neg(self, x: int) -> int:
         if self.p == 2:
             return x
+        if self._neg_table is not None:
+            return self._neg_table[x]
         return self.pack(-d % self.p for d in self.digits(x))
+
+    def _add_raw(self, x: int, y: int) -> int:
+        p = self.p
+        return self.pack((a + b) % p for a, b in zip(self.digits(x), self.digits(y)))
 
     def _mul_raw(self, x: int, y: int) -> int:
         p = self.p
@@ -123,23 +142,41 @@ class PolyExtField:
                     prod[i - self.a + j] = (prod[i - self.a + j] - c * mod[j]) % p
         return self.pack(prod[: self.a])
 
-    def _build_tables(self) -> None:
+    def _generator_powers(self) -> list[int]:
+        """[g^0, ..., g^(q-2)] for the least-index generator g of F*."""
         q = self.order
-        self._mul_table = [0] * (q * q)
-        for x in range(q):
-            for y in range(x, q):
-                v = self._mul_raw(x, y)
-                self._mul_table[x * q + y] = v
-                self._mul_table[y * q + x] = v
-        inv = [0] * q
-        for x in range(1, q):
-            for y in range(1, q):
-                if self._mul_table[x * q + y] == 1:
-                    inv[x] = y
-                    break
-            else:
-                raise NotIrreducible(f"{self.modulus} is not irreducible over GF({self.p})")
-        self._inv_table = inv
+        for g in range(self.p, q):  # below p lies GF(p), which generates nothing for a > 1
+            powers, x = [1], g
+            while x != 1 and len(powers) < q:
+                powers.append(x)
+                x = self._mul_raw(x, g)
+            if x == 1 and len(powers) == q - 1:
+                return powers
+        raise NotIrreducible(f"{self.modulus} is not irreducible over GF({self.p})")
+
+    def _build_tables(self) -> None:
+        """mul and inv from the logs of one generator walk; add and neg from digit sums."""
+        q, p, a = self.order, self.p, self.a
+        exp = np.array(self._generator_powers(), dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        logs = log[1:]
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp[(logs[:, None] + logs[None, :]) % (q - 1)]
+        self._mul_table = mul.ravel().tolist()
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp[-logs % (q - 1)]
+        self._inv_table = inv.tolist()
+        if p == 2:
+            return
+        add = np.zeros((q, q), dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)
+        for i in range(a):
+            d = np.arange(q) // p**i % p
+            add += (d[:, None] + d[None, :]) % p * p**i
+            neg += -d % p * p**i
+        self._add_table = add.ravel().tolist()
+        self._neg_table = neg.tolist()
 
     def mul(self, x: int, y: int) -> int:
         if self._mul_table is not None:
@@ -318,17 +355,10 @@ class FieldTower:
         self.order = self.q**n
         self.base_modulus = getattr(F, "modulus", None)
         self.ext_modulus = ext_modulus
-        # reduction rows: x^(n+i) mod modulus, i = 0..n-2
-        self._red_rows: list[tuple[int, ...]] = []
-        row = [F.neg(c) for c in ext_modulus.coeffs[:-1]]
-        for _ in range(max(0, n - 1)):
-            self._red_rows.append(tuple(row))
-            # multiply row by x modulo modulus
-            carry = row[-1]
-            row = [0] + row[:-1]
-            if carry:
-                for j in range(n):
-                    row[j] = F.add(row[j], F.mul(carry, self._red_rows[0][j]))
+        # x^n = -(c_0 + ... + c_(n-1) x^(n-1)): the nonzero (j, -c_j), for reduction
+        self._mod_terms = tuple((j, F.neg(c)) for j, c in enumerate(ext_modulus.coeffs[:-1]) if c)
+        # over GF(p), products sum plain ints and reduce once per coefficient
+        self._prime_base = self.a == 1
         self._frob_rows: list[tuple[int, ...]] | None = None
         self._profile: fpoly.FOrderProfile | None = None
         self._generator: Element | None = None
@@ -362,36 +392,93 @@ class FieldTower:
             yield self.element([(k // q**i) % q for i in range(n)])
 
     def generator(self) -> Element:
-        """Least-index generator of E*, the fixed base of every discrete log."""
+        """Least-index generator of E*, the fixed base of every discrete log.
+
+        For n > 1 the q constants are skipped: their order divides q - 1.
+        """
         if self._generator is None:
-            N = self.order - 1
-            cofactors = [N // l for l in factor(N).primes]
-            one = self.one_element()
+            # the primes of q - 1, tested on the norm, go first: they cost least
+            primes = sorted(factor(self.order - 1).primes, key=lambda l: (self.q - 1) % l != 0)
+            start = self.q if self.n > 1 else 1
             self._generator = next(
-                x for x in itertools.islice(self.elements(), 1, None)
-                if all(x**c != one for c in cofactors)
+                x for x in itertools.islice(self.elements(), start, None)
+                if next(self.lth_power_primes(x, primes), None) is None
             )
         return self._generator
+
+    def norm(self, x: Element) -> int:
+        """Norm_(E/F)(x) = x * x^q * ... * x^(q^(n-1)) = x^((q^n - 1)/(q - 1)), in F."""
+        acc = x
+        for _ in range(self.n - 1):
+            acc = acc.frobenius(1) * x
+        return acc.as_base_field()
+
+    def lth_power_primes(self, x: Element, primes: Iterable[int]) -> Iterator[int]:
+        """The primes l of `primes`, in order, with x^((q^n - 1)/l) = 1.
+
+        Each l must divide q^n - 1.  For l | q - 1 the test reads
+        Norm(x)^((q - 1)/l) in F, the same element, since
+        x^((q^n - 1)/l) = (x^((q^n - 1)/(q - 1)))^((q - 1)/l).
+        """
+        N, q = self.order - 1, self.q
+        one = self.one_element()
+        norm = None
+        for l in primes:
+            if (q - 1) % l == 0:
+                if norm is None:
+                    norm = self.norm(x)
+                hit = self.F.pow(norm, (q - 1) // l) == 1
+            else:
+                hit = x ** (N // l) == one
+            if hit:
+                yield l
 
     # -- arithmetic --------------------------------------------------------
 
     def multiply(self, x: Element, y: Element) -> Element:
-        F = self.F
         n = self.n
+        ys = [(j, cy) for j, cy in enumerate(y.coeffs) if cy]
         prod = [0] * (2 * n - 1)
+        if self._prime_base:
+            p = self.p
+            for i, cx in enumerate(x.coeffs):
+                if cx:
+                    for j, cy in ys:
+                        prod[i + j] += cx * cy
+            for i in range(2 * n - 2, n - 1, -1):
+                c = prod[i] % p
+                if c:
+                    for j, m in self._mod_terms:
+                        prod[i - n + j] += c * m
+            return Element(self, tuple(c % p for c in prod[:n]))
+        F = self.F
         for i, cx in enumerate(x.coeffs):
             if cx:
-                for j, cy in enumerate(y.coeffs):
-                    if cy:
-                        prod[i + j] = F.add(prod[i + j], F.mul(cx, cy))
-        out = prod[:n]
-        for i in range(n, 2 * n - 1):
+                for j, cy in ys:
+                    prod[i + j] = F.add(prod[i + j], F.mul(cx, cy))
+        for i in range(2 * n - 2, n - 1, -1):
             c = prod[i]
             if c:
-                row = self._red_rows[i - n]
-                for j in range(n):
-                    out[j] = F.add(out[j], F.mul(c, row[j]))
-        return Element(self, tuple(out))
+                for j, m in self._mod_terms:
+                    prod[i - n + j] = F.add(prod[i - n + j], F.mul(c, m))
+        return Element(self, tuple(prod[:n]))
+
+    def combine(self, cs, vectors) -> Element:
+        """sum_j cs[j] * vectors[j], for cs[j] in F and coefficient tuples vectors[j]."""
+        acc = [0] * self.n
+        if self._prime_base:
+            for c, v in zip(cs, vectors):
+                if c:
+                    for k, b in enumerate(v):
+                        acc[k] += c * b
+            p = self.p
+            return Element(self, tuple(c % p for c in acc))
+        F = self.F
+        for c, v in zip(cs, vectors):
+            if c:
+                for k, b in enumerate(v):
+                    acc[k] = F.add(acc[k], F.mul(c, b))
+        return Element(self, tuple(acc))
 
     def inverse(self, x: Element) -> Element:
         if x.is_zero():
@@ -430,17 +517,10 @@ class FieldTower:
             for _ in range(self.n - 2):
                 rows.append((self.element(list(rows[-1])) * xq).coeffs)
             self._frob_rows = rows
-        F = self.F
         out = x
         for _ in range(i % self.n):
             # coefficients are fixed by the map (c^q = c for c in F)
-            acc = [0] * self.n
-            for j, c in enumerate(out.coeffs):
-                if c:
-                    row = self._frob_rows[j]
-                    for k in range(self.n):
-                        acc[k] = F.add(acc[k], F.mul(c, row[k]))
-            out = Element(self, tuple(acc))
+            out = self.combine(out.coeffs, self._frob_rows)
         return out
 
     def trace_to_base(self, x: Element) -> int:

@@ -49,12 +49,7 @@ def is_m_free(x: Element, m: int) -> bool:
 
 
 def _least_failing_prime(x: Element, m: int) -> int | None:
-    N = x.tower.order - 1
-    one = x.tower.one_element()
-    for l in arith.factor(m).primes:
-        if x ** (N // l) == one:
-            return l
-    return None
+    return next(x.tower.lth_power_primes(x, arith.factor(m).primes), None)
 
 
 def is_primitive(x: Element) -> bool:
@@ -65,8 +60,9 @@ def _least_failing_factor(x: Element) -> FPoly | None:
     """Least irreducible P | x^n - 1 whose cofactor annihilates x."""
     tower = x.tower
     xn1 = FPoly.x_pow_n_minus_1(tower.F, tower.n)
+    conjs = fpoly.conjugates(x, tower.n)
     for P in tower.xn_profile().all_factors:
-        if fpoly.sigma_eval(xn1 // P, x).is_zero():
+        if fpoly.sigma_eval(xn1 // P, x, conjs).is_zero():
             return P
     return None
 
@@ -106,12 +102,6 @@ def verify_pff_polynomial(f: FPoly) -> PffVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _coprime_exponents(N: int):
-    for e in range(1, N + 1):
-        if math.gcd(e, N) == 1:
-            yield e
-
-
 def search_pff(
     q: int,
     n: int,
@@ -121,8 +111,9 @@ def search_pff(
     """PFF polynomials for (q, n), sorted; `first` returns at most one.
 
     `first` walks gamma^e over exponents e coprime to q^n - 1 (each primitive
-    element once, deterministic order) on tower arithmetic and stops at the
-    earliest element whose element and inverse are both free.  `all` and
+    element once, deterministic order) on tower arithmetic, as running
+    products gamma^e and gamma^(-e), and stops at the earliest element whose
+    element and inverse are both free.  `all` and
     `count` return the complete list from the small-field engine, so they
     run on fields of at most min(budget, ENGINE_LIMIT) elements; a larger
     field raises `BudgetExceeded`, as does q^n > budget in any mode.
@@ -135,11 +126,15 @@ def search_pff(
         eng = engine_for(q, n)
         return eng.min_polys(eng.pff_mask())
     tower = tower_for(q, n)
+    N = tower.order - 1
     gamma = tower.generator()
-    for e in _coprime_exponents(tower.order - 1):
-        alpha = gamma**e
-        if _least_failing_factor(alpha) is None and _least_failing_factor(alpha.inverse()) is None:
+    gamma_inv = gamma.inverse()
+    alpha, alpha_inv = gamma, gamma_inv  # gamma^e and gamma^(-e)
+    for e in range(1, N + 1):
+        if (math.gcd(e, N) == 1 and _least_failing_factor(alpha) is None
+                and _least_failing_factor(alpha_inv) is None):
             return [fpoly.min_poly(alpha)]
+        alpha, alpha_inv = alpha * gamma, alpha_inv * gamma_inv
     return []
 
 

@@ -99,7 +99,8 @@ def check_r_table_row(row: goldens.RTableRow) -> CheckResult:
                 "rvalues", name, False,
                 f"recomputed {res.R:.6f} != frozen {row.recomputed:.6f}",
             )
-    bold_eff = res.R >= row.q
+    # bold marks R >= q, i.e. the bound fails: decided exactly, not on the float R
+    bold_eff = not res.passes
     if bold_eff != row.bold:
         return CheckResult("rvalues", name, False,
                            f"R={res.R:.4f} vs q={row.q} contradicts bold={row.bold}")

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from pffcert import arith
 from pffcert.arith import Factorization, c_bound, check_primorial_bound, factor
-from pffcert.errors import NotPrime
+from pffcert.errors import FactorTimeout, NotPrime
 
 
 def test_factor_known_values():
@@ -117,6 +118,39 @@ def test_factor_cyclotomic_keeps_a_resistant_cofactor():
     assert arith.factor_cyclotomic(7, 35).cofactors == ()
     with pytest.raises(ValueError):
         arith.PartialFactorization(piece.value, piece.found, (c + 1,))
+
+
+def test_factor_raises_when_rho_runs_out_of_effort():
+    # two primes above TRIAL_BOUND: trial division leaves their product whole
+    n = 1000003 * 1000033
+    with pytest.raises(FactorTimeout):
+        factor(n, 1)
+    assert factor(n).primes == (1000003, 1000033)
+
+
+def test_brent_rho_backtracks_when_a_batch_catches_every_prime():
+    # on 15, the first batch of products is 0 mod 15 (g == n), so rho steps
+    # back one iterate at a time from the batch start to split off 3
+    code = arith._pollard_brent.__code__
+    src, start = inspect.getsourcelines(arith._pollard_brent)
+    backtrack = start + next(i for i, line in enumerate(src) if "ys = (ys * ys + c) % n" in line)
+    lines = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        d = arith._pollard_brent(15, 10**4)
+    finally:
+        sys.settrace(previous)
+    assert d in (3, 5)
+    assert backtrack in lines
 
 
 def test_multiplicative_functions():

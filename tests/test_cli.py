@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from pffcert import pff
 from pffcert.cli import main
 
 
@@ -78,6 +79,15 @@ def test_out_file(tmp_path):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["results"]["count"] == 1
+
+
+def test_only_certify_reports_the_factor_effort(capsys):
+    assert main(["--factor-effort", "5", "--json", "search", "3", "3", "--first"]) == 0
+    budgets = json.loads(capsys.readouterr().out)["budgets"]
+    assert budgets == {"search_budget": pff.SEARCH_BUDGET}
+    assert main(["--factor-effort", "5", "--json", "certify", "3", "5"]) == 0
+    budgets = json.loads(capsys.readouterr().out)["budgets"]
+    assert budgets == {"search_budget": pff.SEARCH_BUDGET, "factor_effort": 5}
 
 
 def test_verify_suite_section(capsys):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from pffcert.errors import DivisionByZero, NotIrreducible, NotPrime
-from pffcert.gf import base_field, construct_tower, lex_least_irreducible, tower_for
+from pffcert.fpoly import FPoly
+from pffcert.gf import FieldTower, base_field, construct_tower, field_for_order, lex_least_irreducible, tower_for
 
 
 def test_preferred_base_moduli():
@@ -116,3 +117,114 @@ def test_gf9_format():
     F = base_field(3, 2)
     assert F.format_element(7) == "2u + 1"
     assert F.format_element(0) == "0"
+
+
+# -- reference schoolbook arithmetic over GF(p), every step reduced mod p ----
+
+
+def _ref_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _ref_divmod(a, b, p):
+    """Long division of a by b over GF(p), b[-1] != 0; returns (quo, rem), untrimmed."""
+    d = len(b) - 1
+    rem = list(a)
+    lead_inv = pow(b[-1], -1, p)
+    quo = [0] * max(0, len(a) - d)
+    for i in range(len(a) - d - 1, -1, -1):
+        c = rem[i + d] * lead_inv % p
+        quo[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = (rem[i + j] - c * y) % p
+    return quo, rem[:d]
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_mulmod(a, b, f, p):
+    n = len(f) - 1
+    rem = _ref_divmod(_ref_mul(a, b, p), f, p)[1]
+    return tuple(rem + [0] * (n - len(rem)))
+
+
+def _ref_powmod(a, e, f, p):
+    r = (1,) + (0,) * (len(f) - 2)
+    while e:
+        if e & 1:
+            r = _ref_mulmod(r, a, f, p)
+        a = _ref_mulmod(a, a, f, p)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("p", [2, 13, 127, 2**61 - 1])
+def test_prime_base_products_match_the_schoolbook(p):
+    # multiply and frobenius are ring operations of GF(p)[x]/(f) for any
+    # monic f, so random moduli exercise them at every degree
+    rng = random.Random(p)
+    F = base_field(p)
+    for n in (1, 2, 5, 12, 40):
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        t = FieldTower(F, n, FPoly(F, tuple(f)))
+        for _ in range(3):
+            a = [rng.randrange(p) for _ in range(n)]
+            b = [rng.randrange(p) for _ in range(n)]
+            if n > 1:
+                a[rng.randrange(n)] = 0  # a zero coefficient takes the skip
+            x, y = t.element(a), t.element(b)
+            assert (x * y).coeffs == _ref_mulmod(a, b, f, p)
+            assert x.frobenius(1).coeffs == _ref_powmod(tuple(a), p, f, p)
+
+
+@pytest.mark.parametrize("p", [2, 13, 127, 2**61 - 1])
+def test_prime_field_polynomials_match_the_schoolbook(p):
+    rng = random.Random(p + 1)
+    F = base_field(p)
+    for _ in range(12):
+        a = [rng.randrange(p) for _ in range(rng.randrange(1, 42))]
+        b = [rng.randrange(p) for _ in range(rng.randrange(1, 42))]
+        b[-1] = b[-1] or 1
+        fa, fb = FPoly.make(F, a), FPoly.make(F, b)
+        assert (fa * fb).coeffs == _trim(_ref_mul(a, b, p))
+        quo, rem = divmod(fa, fb)
+        ref_quo, ref_rem = _ref_divmod(a, b, p)
+        assert quo.coeffs == _trim(ref_quo)
+        assert rem.coeffs == _trim(ref_rem)
+
+
+def _check_base_field_pair(F, x, y):
+    p = F.p
+    assert F.mul(x, y) == F._mul_raw(x, y)
+    assert F.add(x, y) == F._add_raw(x, y)
+    assert F.sub(x, y) == F._add_raw(x, F.pack(-d % p for d in F.digits(y)))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 16])
+def test_base_field_tables_match_the_digit_arithmetic(q):
+    F = field_for_order(q)
+    assert F._mul_table is not None and (F._add_table is not None) == (F.p != 2)
+    for x in range(q):
+        assert F.neg(x) == F.pack(-d % F.p for d in F.digits(x))
+        if x:
+            assert F._mul_raw(x, F.inv(x)) == 1
+        for y in range(q):
+            _check_base_field_pair(F, x, y)
+
+
+def test_base_field_tables_on_a_sample_of_gf243():
+    F = field_for_order(243)
+    rng = random.Random(243)
+    for _ in range(3000):
+        _check_base_field_pair(F, rng.randrange(243), rng.randrange(243))
+    for x in range(1, 243):
+        assert F._mul_raw(x, F.inv(x)) == 1

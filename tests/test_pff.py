@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pffcert import arith, pff, witnesses
@@ -31,6 +33,20 @@ def test_m_free_matches_inverse():
             continue
         for m in (3, 7, 9, 21, 63):
             assert pff.is_m_free(e, m) == pff.is_m_free(e.inverse(), m)
+
+
+@pytest.mark.parametrize("q,n", [(7, 4), (13, 3), (9, 3)])
+def test_least_failing_prime_matches_full_powers(q, n):
+    # the primes of q - 1 are read on the norm; the answer is still the least
+    # prime l with x^(N/l) = 1
+    t = tower_for(q, n)
+    N = t.order - 1
+    one = t.one_element()
+    primes = arith.factor(N).primes
+    assert any((q - 1) % l == 0 for l in primes) and any((q - 1) % l for l in primes)
+    for x in itertools.islice(t.elements(), 1, None):
+        expected = next((l for l in primes if x ** (N // l) == one), None)
+        assert pff._least_failing_prime(x, N) == expected
 
 
 def test_primitive_counts():
@@ -85,6 +101,26 @@ def test_search_examples():
     assert poly(2, 1, 1, 1, 0, 0, 1, 1) in res26
     first = pff.search_pff(2, 5, "first")
     assert first[0] in (poly(2, 1, 1, 1, 0, 1, 1), poly(2, 1, 1, 0, 1, 1, 1))
+
+
+# search_pff(q, n, "first") beyond the engine, low to high: the minimal
+# polynomial of the PFF element gamma^e of least e coprime to q^n - 1.
+FIRST_HITS = {
+    (3, 16): (2, 2, 0, 2, 1, 2, 0, 0, 2, 1, 2, 0, 0, 1, 0, 1, 1),
+    (9, 8): (5, 5, 3, 5, 7, 4, 8, 6, 1),
+    (13, 12): (11, 9, 6, 2, 4, 0, 8, 10, 1, 7, 5, 4, 1),
+    (2, 40): (1, 1, 1, 1, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0,
+              1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1),
+    (5, 12): (3, 1, 0, 0, 2, 3, 1, 0, 4, 2, 3, 1, 1),
+    (11, 10): (6, 1, 8, 8, 4, 8, 10, 4, 8, 2, 1),
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(FIRST_HITS))
+def test_first_hits_are_pinned(q, n):
+    (f,) = pff.search_pff(q, n, "first", budget=q**n)
+    assert f.coeffs == FIRST_HITS[q, n]
+    assert pff.verify_pff_polynomial(f).is_pff
 
 
 def test_search_budget():

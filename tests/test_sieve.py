@@ -385,6 +385,30 @@ def test_recompute_r_row_rejects_sieving_primes_outside_Q():
         recompute_r_row(bad)
 
 
+def test_r_table_bold_is_decided_exactly(monkeypatch):
+    # a bound side just below q^(n/2): the float R rounds to q itself, so only
+    # the exact comparison sees that the bound passes (not bold)
+    import dataclasses
+
+    from pffcert import goldens, verify
+    from pffcert.sieve import _bound_from_braced
+
+    row = goldens.Q4_ROWS[0]
+    assert (row.q, row.n) == (4, 45)
+    recompute = verify.recompute_r_row
+
+    def just_below_q(r):
+        profile, u, delta, _ = recompute(r)
+        braced = Fraction(2**45) - Fraction(1, 2**20)  # braced^2 < 4^45
+        return profile, u, delta, _bound_from_braced(4, 45, braced, {})
+
+    res = just_below_q(row)[3]
+    assert res.passes and abs(res.R - 4) < 1e-12 and res.R >= 4
+    monkeypatch.setattr(verify, "recompute_r_row", just_below_q)
+    assert verify.check_r_table_row(dataclasses.replace(row, R=4.0, bold=False)).ok
+    assert not verify.check_r_table_row(dataclasses.replace(row, R=4.0, bold=True)).ok
+
+
 def test_no_bound_passes_for_exceptional_pairs():
     # every criterion is a sufficient condition, so each must fail on the
     # five genuinely non-PFF pairs even with the exception list bypassed

@@ -1,12 +1,14 @@
 """The table engine must agree with plain tower arithmetic everywhere."""
 
+import itertools
 import random
 
 import pytest
 
-from pffcert import pff
+from pffcert import arith, pff
 from pffcert.errors import BudgetExceeded
 from pffcert.fpoly import FPoly, is_e_free
+from pffcert.gf import tower_for
 from pffcert.smallfield import ENGINE_LIMIT, engine_for
 
 FIELDS = [(2, 6), (3, 4), (4, 3), (5, 3), (9, 2), (8, 2), (2, 9)]
@@ -76,3 +78,16 @@ def test_generator_is_the_least_index_one(q, n):
     for idx in range(1, gen_idx):
         assert not pff.is_primitive(eng.element_of(idx))
     assert pff.is_primitive(eng.generator)
+
+
+@pytest.mark.parametrize("q,n", FIELDS + [(9, 8), (11, 10), (13, 12)])
+def test_generator_matches_the_definition(q, n):
+    # the least index x > 0 with x^(N/l) != 1 for every prime l | N, on full
+    # powers (generator() reads the norm for the primes of q - 1)
+    t = tower_for(q, n)
+    N = t.order - 1
+    one = t.one_element()
+    cofactors = [N // l for l in arith.factor(N).primes]
+    expected = next(x for x in itertools.islice(t.elements(), 1, None)
+                    if all(t.power(x, c) != one for c in cofactors))
+    assert t.generator() == expected
