@@ -20,6 +20,7 @@ from .errors import (
     DenominatorNonPositive,
     DivisionByZero,
     FactorTimeout,
+    InconsistentTables,
     InvalidArgument,
     NonPositiveDelta,
     NotADivisor,

@@ -37,6 +37,10 @@ class NotADivisor(PffcertError):
     """Expected a divisor of x^n - 1 (or of q^n - 1)."""
 
 
+class InconsistentTables(PffcertError):
+    """The table engine's tables contradict the tower they were built from."""
+
+
 class BudgetExceeded(PffcertError):
     """An enumeration budget would be exceeded."""
 

@@ -240,9 +240,15 @@ _PREFERRED_BASE_MODULI = {
 
 
 def lex_least_irreducible(field, degree: int) -> FPoly:
-    """Smallest monic irreducible of given degree, counting coefficient vectors."""
+    """Smallest monic irreducible of given degree, counting coefficient vectors.
+
+    Past degree 1, x divides every candidate with constant term 0 (k % q == 0),
+    so those are skipped without an irreducibility test.
+    """
     q = field.order
     for k in range(q**degree):
+        if degree > 1 and k % q == 0:
+            continue
         coeffs = [(k // q**i) % q for i in range(degree)] + [1]
         f = FPoly(field, tuple(coeffs))
         if fpoly.is_irreducible(f):

@@ -7,6 +7,16 @@ exhaustive path: `pff.search_pff` in "all"/"count" mode, `pff.count_pff_elements
 `pff.brute_N` and the character sums all read these tables, and a larger
 field raises `BudgetExceeded`.  Everything outside this module treats
 elements as coefficient tuples; here they get dense integer indices.
+
+An index is a base-p number whose digits are the element's coordinates over
+GF(p), so the digit matrix of the whole field is the base-p digits of
+``arange(q^n)``.  Every table is then built from GF(p)-linear maps applied to
+that matrix, with no loop over elements: multiplication by a fixed beta, the
+absolute trace and each freeness cofactor h^sigma are matrices over GF(p)
+whose d = n a rows are the images of the d basis elements, computed on tower
+arithmetic.  The exp table comes from doubling: rows gamma^0..gamma^(L-1)
+times the matrix of gamma^L give the next L rows, and squaring that matrix
+steps L to 2L, so ceil(log2 N) doubling steps replace N tower products.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import functools
 import numpy as np
 
 from . import arith, fpoly
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InconsistentTables
 from .fpoly import FPoly
 from .gf import Element, FieldTower, tower_for
 
@@ -28,7 +38,8 @@ class SmallFieldEngine:
 
     Index 0 is the zero element; `exp[j]` is the index of gamma^j for the
     least-index generator gamma (`FieldTower.generator`), and `log[idx]`
-    inverts that map on E*.
+    inverts that map on E*.  `digits[idx]` holds the GF(p) coordinates of
+    an element, least significant first.
     """
 
     def __init__(self, tower: FieldTower):
@@ -40,40 +51,19 @@ class SmallFieldEngine:
         self.q = tower.q
         self.n = tower.n
         self.p = tower.p
-        F = tower.F
         self.N_factors = arith.factor(self.N)
 
+        # digit j of an index is the coordinate on the basis element of index p^j
+        self._pack_weights = self.p ** np.arange(tower.n * tower.a, dtype=np.int64)
+        self.digits = (np.arange(self.size)[:, None] // self._pack_weights % self.p).astype(np.int32)
+        basis = [self.element_of(int(w)) for w in self._pack_weights]
+        conjs = [fpoly.conjugates(b, self.n) for b in basis]  # b, b^q, ..., b^(q^(n-1))
+
         self.generator = tower.generator()
-        # discrete log tables
-        self.exp = np.zeros(self.N, dtype=np.int64)
-        self.log = np.full(self.size, -1, dtype=np.int64)
-        acc = tower.one_element()
-        for j in range(self.N):
-            idx = self.index_of(acc)
-            self.exp[j] = idx
-            self.log[idx] = j
-            acc = acc * self.generator
-        assert self.index_of(acc) == self.exp[0]
-
-        # prime-field digit matrix, shape (size, n*a)
-        a = tower.a
-        digs = np.zeros((self.size, tower.n * a), dtype=np.int16)
-        qprime = tower.p
-        for idx in range(self.size):
-            coeffs = self._coeffs_of_index(idx)
-            row = []
-            for c in coeffs:
-                row.extend(F.prime_digits(c))
-            digs[idx] = row
-        self.digits = digs
-        self._pack_weights = np.array(
-            [qprime ** (i % a) * self.q ** (i // a) for i in range(tower.n * a)],
-            dtype=np.int64,
-        )
-
-        self.abs_trace = self._build_abs_trace()
+        self.exp, self.log = self._build_logs(basis)
+        self.abs_trace = self._build_abs_trace(conjs)
         self.inv_idx = self._build_inverses()
-        self.add_fail = self._build_add_fail()
+        self.add_fail = self._build_add_fail(conjs)
 
     # -- indexing ----------------------------------------------------------
 
@@ -94,55 +84,67 @@ class SmallFieldEngine:
     def _pack_digit_rows(self, rows: np.ndarray) -> np.ndarray:
         return rows @ self._pack_weights
 
+    def _matrix_of(self, images) -> np.ndarray:
+        """The matrix over GF(p) whose row j is the digit row of images[j]."""
+        return self.digits[[self.index_of(y) for y in images]].astype(np.int64)
+
     # -- construction helpers ------------------------------------------------
 
-    def _build_abs_trace(self) -> np.ndarray:
-        # absolute trace to GF(p): sum of w^(p^j) over the full prime degree
-        deg = self.n * self.tower.a
-        logs = self.log[1:].copy()
-        total = np.zeros(self.size, dtype=np.int64)
-        digsum = np.zeros((self.size - 1, self.digits.shape[1]), dtype=np.int64)
-        for j in range(deg):
-            idxs = self.exp[(logs * pow(self.p, j, self.N)) % self.N]
-            digsum += self.digits[idxs]
-        digsum %= self.p
-        # the trace lies in GF(p): the constant prime digit
-        assert not digsum[:, 1:].any()
-        total[1:] = digsum[:, 0]
-        return total
+    def _build_logs(self, basis: list[Element]) -> tuple[np.ndarray, np.ndarray]:
+        p, N = self.p, self.N
+        step = self._matrix_of(self.generator * b for b in basis)  # w -> gamma^L w, L = 1
+        rows = self.digits[1:2].astype(np.int64)  # gamma^0
+        while len(rows) < N:
+            rows = np.vstack((rows, rows @ step % p))
+            step = step @ step % p
+        exp = self._pack_digit_rows(rows[:N])
+        log = np.full(self.size, -1, dtype=np.int64)
+        log[exp] = np.arange(N)
+        # N powers fill all N nonzero slots only if they are distinct and nonzero
+        if (log[1:] < 0).any():
+            raise InconsistentTables(f"{self.generator} does not generate the multiplicative group of {self.tower}")
+        return exp, log
+
+    def _build_abs_trace(self, conjs: list[list[Element]]) -> np.ndarray:
+        # the absolute trace to GF(p) is GF(p)-linear: one value per basis
+        # element, Tr_(F/GF(p)) of the sum of its conjugates
+        F, zero = self.tower.F, self.tower.zero_element()
+        traces = np.array([F.trace_to_prime(sum(c, zero).as_base_field()) for c in conjs], dtype=np.int64)
+        return self.digits @ traces % self.p
 
     def _build_inverses(self) -> np.ndarray:
         inv = np.zeros(self.size, dtype=np.int64)
         inv[1:] = self.exp[(-self.log[1:]) % self.N]
         return inv
 
-    def _sigma_eval_all(self, h: FPoly) -> np.ndarray:
-        """Indices of h^sigma(w) for every w (0 at w = 0)."""
-        F = self.tower.F
-        acc = np.zeros((self.size - 1, self.digits.shape[1]), dtype=np.int64)
-        logs = self.log[1:]
-        for i, c in enumerate(h.coeffs):
-            if c == 0:
-                continue
-            idxs = (logs * pow(self.q, i, self.N)) % self.N
-            if c != 1:
-                idxs = (idxs + int(self.log[self.index_of(self.tower.embed_base(c))])) % self.N
-            acc += self.digits[self.exp[idxs]]
-        acc %= self.p
-        out = np.zeros(self.size, dtype=np.int64)
-        out[1:] = self._pack_digit_rows(acc)
-        return out
-
-    def _build_add_fail(self) -> np.ndarray:
+    def _build_add_fail(self, conjs: list[list[Element]]) -> np.ndarray:
         """Bit j set for w iff ((x^n - 1)/P_j)^sigma kills w (P_j-freeness fails)."""
-        profile = self.tower.xn_profile()
         xn1 = FPoly.x_pow_n_minus_1(self.tower.F, self.n)
         bits = np.zeros(self.size, dtype=np.int64)
-        for j, P in enumerate(profile.all_factors):
-            vals = self._sigma_eval_all(xn1 // P)
-            bits |= (vals == 0).astype(np.int64) << j
-        bits[0] = (1 << len(profile.all_factors)) - 1
+        for j, P in enumerate(self.tower.xn_profile().all_factors):
+            h = self._matrix_of(fpoly.sigma_eval(xn1 // P, c[0], c) for c in conjs)
+            killed = ~(self.digits @ h % self.p).any(axis=1)
+            bits |= killed.astype(np.int64) << j
         return bits
+
+    # -- index arithmetic ---------------------------------------------------------
+
+    def _mul_idx(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        prod = self.exp[(self.log[x] + self.log[y]) % self.N]
+        return np.where((x == 0) | (y == 0), 0, prod)
+
+    def _add_idx(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._pack_digit_rows((self.digits[x] + self.digits[y]) % self.p)
+
+    def _monic_from_roots(self, roots: np.ndarray) -> np.ndarray:
+        """Coefficient indices of prod_i (X - roots[:, i]), one row per row of roots."""
+        neg = self._pack_digit_rows(-self.digits[roots] % self.p)
+        poly = np.ones((len(roots), 1), dtype=np.int64)
+        for i in range(roots.shape[1]):
+            shifted = np.pad(poly, ((0, 0), (1, 0)))
+            scaled = np.pad(self._mul_idx(poly, neg[:, i:i + 1]), ((0, 0), (0, 1)))
+            poly = self._add_idx(shifted, scaled)
+        return poly
 
     # -- masks ----------------------------------------------------------------
 
@@ -182,15 +184,26 @@ class SmallFieldEngine:
 
         Two elements share a minimal polynomial iff they are conjugate, so one
         element per orbit of w -> w^q (log -> q log mod N) is enough; the
-        orbit's least log picks it.
+        orbit's least log picks it.  An orbit of k elements gives
+        prod (X - c) over its k conjugates, multiplied out for all orbits of
+        one size at once on index arrays.
         """
-        logs = self.log[np.nonzero(mask)[0]]
-        least = logs
-        for _ in range(1, self.n):
-            logs = logs * self.q % self.N
-            least = np.minimum(least, logs)
-        roots = self.exp[np.unique(least)]
-        return sorted((fpoly.min_poly(self.element_of(int(i))) for i in roots), key=FPoly.sort_key)
+        N, q, n = self.N, self.q, self.n
+        logs = self.log[1:][np.asarray(mask)[1:]]
+        q_pows = np.array([pow(q, i, N) for i in range(n + 1)], dtype=np.int64)
+        # bincount rather than np.unique, which imports numpy.ma on its first call
+        least = np.flatnonzero(np.bincount((logs[:, None] * q_pows[:n] % N).min(axis=1)))
+        conj = least[:, None] * q_pows % N
+        # the orbit size: the first i >= 1 with c^(q^i) = c (at the latest i = n)
+        sizes = (conj[:, 1:] == conj[:, :1]).argmax(axis=1) + 1
+        F = self.tower.F
+        polys = []
+        for k in set(sizes.tolist()):
+            coeffs = self._monic_from_roots(self.exp[conj[sizes == k, :k]])
+            if (coeffs >= q).any():
+                raise InconsistentTables(f"a minimal polynomial over {self.tower} has a coefficient outside GF({q})")
+            polys += [FPoly.make(F, row) for row in coeffs.tolist()]
+        return sorted(polys, key=FPoly.sort_key)
 
 
 @functools.lru_cache(maxsize=64)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pffcert.errors import DivisionByZero, NotIrreducible, NotPrime
-from pffcert.fpoly import FPoly
+from pffcert.fpoly import FPoly, is_irreducible
 from pffcert.gf import FieldTower, base_field, construct_tower, field_for_order, lex_least_irreducible, tower_for
 
 
@@ -27,6 +27,23 @@ def test_default_ext_modulus_is_lex_least():
     assert t.ext_modulus.coeffs == (1, 1, 0, 1)  # x^3+x+1
     F = base_field(3)
     assert lex_least_irreducible(F, 2).coeffs == (1, 0, 1)  # x^2+1
+
+
+def _ref_lex_least_irreducible(F, degree):
+    """Every candidate in lexicographic order, none skipped."""
+    q = F.order
+    for k in range(q**degree):
+        f = FPoly(F, tuple((k // q**i) % q for i in range(degree)) + (1,))
+        if is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_lex_least_irreducible_matches_the_unfiltered_loop(q):
+    F = field_for_order(q)
+    for degree in range(1, 9):
+        assert lex_least_irreducible(F, degree) == _ref_lex_least_irreducible(F, degree)
+    assert lex_least_irreducible(F, 1).coeffs == (0, 1)  # x
 
 
 def test_gf4_multiplication():

@@ -1,12 +1,18 @@
 """The table engine must agree with plain tower arithmetic everywhere."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pffcert import arith, pff
-from pffcert.errors import BudgetExceeded
+import pffcert
+from pffcert import arith, fpoly, pff
+from pffcert.errors import BudgetExceeded, InconsistentTables
 from pffcert.fpoly import FPoly, is_e_free
 from pffcert.gf import tower_for
 from pffcert.smallfield import ENGINE_LIMIT, engine_for
@@ -91,3 +97,105 @@ def test_generator_matches_the_definition(q, n):
     expected = next(x for x in itertools.islice(t.elements(), 1, None)
                     if all(t.power(x, c) != one for c in cofactors))
     assert t.generator() == expected
+
+
+def _reference_tables(q, n):
+    """Every engine table from a walk over the elements on tower arithmetic."""
+    t = tower_for(q, n)
+    F, N = t.F, t.order - 1
+    elems = list(t.elements())  # elems[k] has index k
+
+    def index(x):
+        return sum(c * q**i for i, c in enumerate(x.coeffs))
+
+    exp, log = [], [-1] * t.order
+    acc = t.one_element()
+    for j in range(N):
+        exp.append(index(acc))
+        log[index(acc)] = j
+        acc = acc * t.generator()
+    xn1 = FPoly.x_pow_n_minus_1(F, n)
+    factors = t.xn_profile().all_factors
+    return {
+        "exp": exp,
+        "log": log,
+        "digits": [[d for c in x.coeffs for d in F.prime_digits(c)] for x in elems],
+        "abs_trace": [x.abs_trace() for x in elems],
+        "inv_idx": [0] + [index(x.inverse()) for x in elems[1:]],
+        "add_fail": [sum(fpoly.sigma_eval(xn1 // P, x).is_zero() << j for j, P in enumerate(factors))
+                     for x in elems],
+    }
+
+
+@pytest.mark.parametrize("q,n", FIELDS + [(3, 8), (2, 12), (16, 3), (17, 2), (2, 1)])
+def test_tables_match_the_element_walk(q, n):
+    eng = engine_for(q, n)
+    for name, expected in _reference_tables(q, n).items():
+        assert getattr(eng, name).tolist() == expected, name
+
+
+def _reference_min_polys(eng, mask):
+    polys = {}
+    for idx in np.nonzero(mask)[0]:
+        if idx:
+            f = fpoly.min_poly(eng.element_of(int(idx)))
+            polys[f.coeffs] = f
+    return sorted(polys.values(), key=FPoly.sort_key)
+
+
+@pytest.mark.parametrize("q,n", FIELDS + [(17, 2), (2, 1)])
+def test_min_polys_match_the_element_walk(q, n):
+    eng = engine_for(q, n)
+    nonzero = np.ones(eng.size, dtype=bool)
+    nonzero[0] = False  # holds the subfield elements, whose orbits are shorter than n
+    for mask in (eng.pff_mask(), eng.primitive_mask(), nonzero, np.zeros(eng.size, dtype=bool)):
+        assert eng.min_polys(mask) == _reference_min_polys(eng, mask)
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (4, 2), (2, 5)])
+def test_index_arithmetic_matches_the_tower(q, n):
+    # every pair, zero included: min_polys multiplies and adds on indices
+    eng = engine_for(q, n)
+    x, y = np.divmod(np.arange(eng.size**2), eng.size)
+    prod, total = eng._mul_idx(x, y), eng._add_idx(x, y)
+    for i, j, pij, sij in zip(x.tolist(), y.tolist(), prod.tolist(), total.tolist()):
+        a, b = eng.element_of(i), eng.element_of(j)
+        assert (pij, sij) == (eng.index_of(a * b), eng.index_of(a + b))
+
+
+def test_prime_field_past_the_int16_digit_range():
+    # GF(32771) as a degree-1 tower: every nonzero element is free, so the PFF
+    # elements are the primitive ones
+    eng = engine_for(32771, 1)
+    assert eng.digits[:, 0].tolist() == list(range(32771))
+    assert pff.count_pff_elements(32771, 1) == arith.phi(32770)
+
+
+_NON_GENERATOR = """
+from pffcert.fpoly import FPoly
+from pffcert.gf import FieldTower, field_for_order
+from pffcert.smallfield import SmallFieldEngine
+
+
+class XAsGenerator(FieldTower):
+    def generator(self):
+        return self.gen_x()
+
+
+F = field_for_order(2)
+# x has order 5 in GF(2)[x]/(x^4 + x^3 + x^2 + x + 1), whose group has order 15
+SmallFieldEngine(XAsGenerator(F, 4, FPoly(F, (1, 1, 1, 1, 1))))
+"""
+
+
+def test_a_non_generator_is_rejected():
+    with pytest.raises(InconsistentTables):
+        exec(_NON_GENERATOR, {})
+
+
+def test_a_non_generator_is_rejected_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(pffcert.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", "print(__debug__)" + _NON_GENERATOR],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.split() == ["False"]
+    assert proc.returncode == 1 and "InconsistentTables" in proc.stderr
