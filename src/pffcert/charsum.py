@@ -1,19 +1,44 @@
 """Exact characters, Gauss and Kloosterman sums, and the character-sum count.
 
 Everything runs on the small-field engine (discrete logs plus trace tables)
-and carries values as double-precision complex numbers.  This module is the
+and carries values as double-precision numbers.  This module is the
 independent oracle for the counting function N(m, g, h): it never consults
 element orders directly.
 
-The two characteristic functions in N_formula are weighted inverse FFTs:
-over Z/(q^n - 1) for the multiplicative one, over the (Z/p)^(an) digit cube
-of E for the additive one.  Each weight vector has l1 norm at most 2^r (r
-the number of prime factors of m, or of irreducible factors of g), so each
-transformed value carries a rounding error of order eps * log2(q^n) * 2^r,
-about 1e-14 * 2^r up to ENGINE_LIMIT, and N_formula sums q^n - 1 products
-of such values, whose errors mostly cancel.  On fields of 6 * 10^4 to
-8 * 10^4 elements the sum is off by at most 9e-11, well inside the 1e-9
-relative tolerance of ComplexVal, which `as_integer` enforces.
+N_formula reads its three characteristic functions from one table per field
+(`_char_tables`, an `lru_cache` on (q, n) holding four fields), whose rows
+are filled on first use and then shared by every call:
+
+- one additive row per squarefree divisor D of x^n - 1, the indicator of
+  D-freeness Theta(D) * sum over D' | D of mu(D')/Phi(D') * S_D', S_D' the
+  sum of chi_delta over the delta of F-order D'.  Every divisor g of
+  x^n - 1, monic or not, reads the row of its radical, found by looking up
+  g.monic() in the divisor index (`_divisor_index`).  A row costs one
+  inverse FFT over the (Z/p)^(an) digit cube of E, so a field needs at most
+  as many as x^n - 1 has squarefree divisors;
+- one multiplicative row per squarefree r | q^n - 1, the indicator of
+  r-freeness, already gathered at log w over E*: one inverse FFT of length
+  r, since the characters of order dividing r repeat with period r in
+  log w.
+
+A row's weight vector has l1 norm at most 2^k (k the number of factors of D
+or of primes of r), so each of its values carries a rounding error of order
+eps * log2(q^n) * 2^k, about 1e-14 * 2^k up to ENGINE_LIMIT.  N_formula then
+takes one dot product of q^n - 1 products of row values, whose errors mostly
+cancel.  On fields of 6 * 10^4 to 8 * 10^4 elements the sum is off by at
+most 9e-11, well inside the 1e-9 relative tolerance of ComplexVal, which
+`as_integer` enforces.
+
+The rows are stored as real float64.  Each Delta_D is closed under negation
+and the characters of order dividing r under conjugation, so each sum is
+real; a row whose imaginary part exceeds TOL anywhere raises
+InconsistentTables instead of being truncated.  A field costs 8 bytes per
+element per row: 8 * q^n * (2^r + 4) bytes for the additive rows and the
+digit-cube weights (r the number of irreducible factors of x^n - 1), plus
+8 * (q^n - 1) per multiplicative row used.  With every row filled that is
+0.16 to 0.37 MB for each field of the benchmark's oracle, and at most about
+50 MB up to ENGINE_LIMIT (a prime field whose q - 1 has six primes, with
+all 64 multiplicative rows in use).
 """
 
 from __future__ import annotations
@@ -28,9 +53,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith
-from .errors import NotADivisor
+from .errors import InconsistentTables, NotADivisor
 from .fpoly import FPoly
-from .gf import Element
+from .gf import Element, tower_for
 from .smallfield import SmallFieldEngine, engine_for
 
 TOL = 1e-9
@@ -130,22 +155,42 @@ def _chi_values(engine: SmallFieldEngine) -> np.ndarray:
     return _proot_powers(engine.p)[engine.abs_trace % engine.p]
 
 
+@functools.lru_cache(maxsize=32)
+def _divisor_index(q: int, n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every monic divisor of x^n - 1, keyed by its coefficients, with its
+    exponent on each irreducible factor (in `xn_profile().all_factors`
+    order), in the order of `FPoly.sort_key`."""
+    tower = tower_for(q, n)
+    profile = tower.xn_profile()
+    # x^n - 1 = (x^(n*) - 1)^(n/n*) and x^(n*) - 1 is squarefree
+    pb = n // profile.n_star
+    divs = [(FPoly.one(tower.F), ())]
+    for f in profile.all_factors:
+        powers = [FPoly.one(tower.F)]
+        for _ in range(pb):
+            powers.append(powers[-1] * f)
+        divs = [(d * fe, ex + (e,)) for d, ex in divs for e, fe in enumerate(powers)]
+    divs.sort(key=lambda de: de[0].sort_key())
+    return {d.coeffs: ex for d, ex in divs}
+
+
+def _divisor_exponents(engine: SmallFieldEngine, D: FPoly) -> tuple[int, ...]:
+    """The exponents of D.monic() on the irreducible factors of x^n - 1."""
+    exps = _divisor_index(engine.q, engine.n).get(D.monic().coeffs)
+    if exps is None:
+        raise NotADivisor(f"{D} does not divide x^{engine.n} - 1")
+    return exps
+
+
+def _radical_mask(engine: SmallFieldEngine, D: FPoly) -> int:
+    """Bit j set iff the j-th irreducible factor of x^n - 1 divides D."""
+    return sum(1 << j for j, e in enumerate(_divisor_exponents(engine, D)) if e)
+
+
 def _all_monic_divisors(engine: SmallFieldEngine) -> list[FPoly]:
     """Monic divisors of x^n - 1, sorted by (degree, coefficients)."""
-    tower = engine.tower
-    profile = tower.xn_profile()
-    pb = tower.n // profile.n_star
-    divs = [FPoly.one(tower.F)]
-    for f in profile.all_factors:
-        divs = [d * _pow_poly(f, e) for d in divs for e in range(pb + 1)]
-    return sorted(divs, key=FPoly.sort_key)
-
-
-def _pow_poly(f: FPoly, e: int) -> FPoly:
-    out = FPoly.one(f.field)
-    for _ in range(e):
-        out = out * f
-    return out
+    F = engine.tower.F
+    return [FPoly(F, c) for c in _divisor_index(engine.q, engine.n)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -206,40 +251,24 @@ def poly_phi(engine: SmallFieldEngine, D: FPoly) -> int:
     """Euler function on F[x]: Phi(D) = |D| prod over P | D of (1 - |P|^-1)."""
     q = engine.q
     out = 1
-    rest = D.monic()
-    for P in engine.tower.xn_profile().all_factors:
-        e = 0
-        while P.divides(rest):
-            rest = rest // P
-            e += 1
+    for P, e in zip(engine.tower.xn_profile().all_factors, _divisor_exponents(engine, D)):
         if e:
             d = P.degree
             out *= q ** (e * d) - q ** ((e - 1) * d)
-    if not rest.is_one():
-        raise NotADivisor(f"{D} does not divide x^{engine.n} - 1")
     return out
 
 
 def poly_moebius(engine: SmallFieldEngine, D: FPoly) -> int:
-    cnt = 0
-    rest = D.monic()
-    for P in engine.tower.xn_profile().all_factors:
-        e = 0
-        while P.divides(rest):
-            rest = rest // P
-            e += 1
-        if e > 1:
-            return 0
-        cnt += e
-    if not rest.is_one():
-        raise NotADivisor(f"{D} does not divide x^{engine.n} - 1")
-    return -1 if cnt % 2 else 1
+    exps = _divisor_exponents(engine, D)
+    if max(exps, default=0) > 1:
+        return 0
+    return -1 if sum(exps) % 2 else 1
 
 
 def squarefree_poly_divisors(engine: SmallFieldEngine, g: FPoly) -> list[FPoly]:
     divs = [FPoly.one(engine.tower.F)]
-    for P in engine.tower.xn_profile().all_factors:
-        if P.divides(g):
+    for P, e in zip(engine.tower.xn_profile().all_factors, _divisor_exponents(engine, g)):
+        if e:
             divs = divs + [d * P for d in divs]
     return sorted(divs, key=FPoly.sort_key)
 
@@ -285,38 +314,17 @@ def _theta(m: int) -> Fraction:
 def _Theta(engine: SmallFieldEngine, g: FPoly) -> Fraction:
     """Phi(rad g) / |rad g|, the product of 1 - |P|^-1 over irreducible P | g."""
     out = Fraction(1)
-    for P in engine.tower.xn_profile().all_factors:
-        if P.divides(g):
+    for P, e in zip(engine.tower.xn_profile().all_factors, _divisor_exponents(engine, g)):
+        if e:
             out *= 1 - Fraction(1, engine.q**P.degree)
     return out
 
 
-def _mult_indicator_values(engine: SmallFieldEngine, m: int) -> np.ndarray:
-    """theta(m) * integral over d | m of eta_d(w), for all w in E*.
-
-    eta_k has order N / gcd(k, N) and weight mu(d)/phi(d) when that order d
-    divides rad(m), so the sum over characters is one inverse FFT of the
-    weights, read at log w.
-    """
-    N = engine.N
-    if N % m:
-        raise NotADivisor(f"{m} does not divide q^n - 1")
-    order = N // np.gcd(np.arange(N), N)
-    weight = np.zeros(N)
-    for d in arith.squarefree_divisors(m):
-        weight[order == d] = arith.moebius(d) / arith.phi(d)
-    vals = np.fft.ifft(weight).real * N
-    return float(_theta(m)) * vals[engine.log[1:]]
-
-
-@functools.lru_cache(maxsize=32)
-def _divisor_weights(q: int, n: int) -> np.ndarray:
-    """mu(D)/Phi(D) for every divisor D of x^n - 1, in `_f_order_table` order."""
-    engine = engine_for(q, n)
-    divisors, _ = _f_order_table(q, n)
-    weights = np.array([poly_moebius(engine, D) / poly_phi(engine, D) for D in divisors])
-    weights.flags.writeable = False  # shared by every caller through the cache
-    return weights
+def _prime_key(engine: SmallFieldEngine, m: int) -> tuple[int, ...]:
+    """The primes of q^n - 1 that divide m, which decide m-freeness."""
+    if m < 1 or engine.N % m:
+        raise NotADivisor(f"{m} does not divide q^n - 1 = {engine.N}")
+    return tuple(l for l in engine.N_factors.primes if m % l == 0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -334,49 +342,115 @@ def _trace_positions(q: int, n: int) -> np.ndarray:
     for k in range(engine.n * engine.tower.a):
         prod_idx = engine.exp[(logs + int(engine.log[p**k])) % N]
         pos[1:] += engine.abs_trace[prod_idx] % p * p**k
-    # the trace form is nondegenerate, so delta -> position is a bijection
-    if np.unique(pos).size != engine.size:
+    # the trace form is nondegenerate, so delta -> position is a bijection;
+    # bincount rather than np.unique, which imports numpy.ma on its first call
+    if not (np.bincount(pos, minlength=engine.size) == 1).all():
         raise RuntimeError(f"trace positions of GF({q}^{n}) are not a bijection")
     pos.flags.writeable = False
     return pos
 
 
-def _add_indicator_values(engine: SmallFieldEngine, g: FPoly) -> np.ndarray:
-    """Theta(g) * integral over D | g of chi_{delta_D}(w), for all w (complex).
+def _real_row(vals: np.ndarray, at, what: str) -> np.ndarray:
+    """vals.real[at] as a read-only float64 row, once vals is real to within TOL."""
+    im = float(np.abs(vals.imag).max())
+    if im > TOL:
+        raise InconsistentTables(f"{what} has an imaginary part of {im:.3g}")
+    row = np.array(vals.real[at])
+    row.flags.writeable = False  # shared by every caller through the cache
+    return row
 
-    delta carries the weight mu(D)/Phi(D) of its F-order D when D divides g;
-    placed at delta's trace position, one inverse FFT over the digit cube sums
-    the characters.
+
+class _CharTables:
+    """The characteristic functions of N_formula on one field, each a float64
+    row built on first use and kept.
+
+    `add_row(mask)` is Theta(D) * integral over D' | D of chi_{delta_D'}(w)
+    for all w in E, D the squarefree divisor of x^n - 1 whose factors are the
+    set bits of mask; D' carries the weight mu(D')/Phi(D') and Delta_D' is
+    the set of delta of F-order D'.  Placed at delta's trace position, the
+    weights of every delta whose F-order divides D make one inverse FFT over
+    the (Z/p)^(an) digit cube.
+
+    `mult_row(primes)` is theta(r) * integral over d | r of eta_d(w) for all w
+    in E* (index w - 1), r the product of primes.  The characters of order
+    dividing r are eta_k with k = (N/r) j, of order r / gcd(j, r), so their
+    weighted sum at gamma^t is r * ifft(weights over j)[t mod r]: one inverse
+    FFT of length r, read at log w mod r.
     """
-    q, n = engine.q, engine.n
-    divisors, order_of = _f_order_table(q, n)
-    divides_g = np.array([D.divides(g) for D in divisors])
-    cube = np.zeros(engine.size)
-    cube[_trace_positions(q, n)] = np.where(divides_g, _divisor_weights(q, n), 0.0)[order_of]
-    shape = (engine.p,) * (n * engine.tower.a)
-    vals = np.fft.ifftn(cube.reshape(shape)).reshape(-1) * engine.size
-    return float(_Theta(engine, g)) * vals
+
+    def __init__(self, q: int, n: int):
+        self.engine = engine = engine_for(q, n)
+        factors = engine.tower.xn_profile().all_factors
+        self._theta_P = [1 - 1 / q**P.degree for P in factors]
+        divisors, order_of = _f_order_table(q, n)
+        masks = np.array([_radical_mask(engine, D) for D in divisors], dtype=np.int64)
+        weights = np.array([poly_moebius(engine, D) / poly_phi(engine, D) for D in divisors])
+        pos = _trace_positions(q, n)
+        # per digit-cube position: the F-order's radical mask and weight
+        self._cube_mask = np.empty(engine.size, dtype=np.int64)
+        self._cube_mask[pos] = masks[order_of]
+        self._cube_weight = np.empty(engine.size)
+        self._cube_weight[pos] = weights[order_of]
+        self._add_rows: dict[int, np.ndarray] = {}
+        self._mult_rows: dict[tuple[int, ...], np.ndarray] = {}
+
+    def add_row(self, mask: int) -> np.ndarray:
+        row = self._add_rows.get(mask)
+        if row is None:
+            engine = self.engine
+            cube = np.where(self._cube_mask & ~mask, 0.0, self._cube_weight)
+            shape = (engine.p,) * (engine.n * engine.tower.a)
+            vals = np.fft.ifftn(cube.reshape(shape)).reshape(-1) * engine.size
+            theta = math.prod(t for j, t in enumerate(self._theta_P) if mask >> j & 1)
+            row = self._add_rows[mask] = _real_row(theta * vals, slice(None), f"additive row {mask:#b}")
+        return row
+
+    def mult_row(self, primes: tuple[int, ...]) -> np.ndarray:
+        row = self._mult_rows.get(primes)
+        if row is None:
+            r = math.prod(primes)
+            order = r // np.gcd(np.arange(r), r)
+            weights = np.ones(r)
+            for l in primes:
+                weights[order % l == 0] *= -1 / (l - 1)  # mu(d)/phi(d), one prime at a time
+            theta = math.prod(1 - 1 / l for l in primes)
+            vals = theta * r * np.fft.ifft(weights)
+            at = self.engine.log[1:] % r
+            row = self._mult_rows[primes] = _real_row(vals, at, f"multiplicative row {r}")
+        return row
+
+
+@functools.lru_cache(maxsize=4)
+def _char_tables(q: int, n: int) -> _CharTables:
+    return _CharTables(q, n)
+
+
+def _mult_indicator_values(engine: SmallFieldEngine, m: int) -> np.ndarray:
+    """theta(m) * integral over d | m of eta_d(w), for all w in E*."""
+    return _char_tables(engine.q, engine.n).mult_row(_prime_key(engine, m))
+
+
+def _add_indicator_values(engine: SmallFieldEngine, g: FPoly) -> np.ndarray:
+    """Theta(g) * integral over D | g of chi_{delta_D}(w), for all w in E."""
+    return _char_tables(engine.q, engine.n).add_row(_radical_mask(engine, g))
 
 
 def N_formula(q: int, n: int, m: int, g: FPoly, h: FPoly, method: str = "grouped") -> ComplexVal:
     """Character-sum evaluation of N(m, g, h).
 
     `grouped` multiplies the three characteristic functions pointwise over
-    E* (the defining expansion); `triple` assembles the same value from
-    explicit generalized Kloosterman sums, one per character triple, and is
-    only meant for very small inputs.
+    E* (the defining expansion), reading them from the field's cached rows;
+    `triple` assembles the same value from explicit generalized Kloosterman
+    sums, one per character triple, and is only meant for very small inputs.
     """
     engine = engine_for(q, n)
-    xn1 = FPoly.x_pow_n_minus_1(engine.tower.F, n)
-    for e in (g, h):
-        if e.is_zero() or not (xn1 % e).is_zero():
-            raise NotADivisor(f"{e} does not divide x^{n} - 1")
+    primes, g_mask, h_mask = _prime_key(engine, m), _radical_mask(engine, g), _radical_mask(engine, h)
     if method == "triple":
         return _N_formula_triple(engine, m, g, h)
-    mult = _mult_indicator_values(engine, m)
-    vg = _add_indicator_values(engine, g)[1:]
-    vh = _add_indicator_values(engine, h)[engine.inv_idx[1:]]
-    return ComplexVal.of(complex((mult * vg * vh).sum()))
+    tables = _char_tables(q, n)
+    vg = tables.add_row(g_mask)[1:]
+    vh = tables.add_row(h_mask)[engine.inv_idx[1:]]
+    return ComplexVal.of(complex(tables.mult_row(primes) @ (vg * vh)))
 
 
 def _N_formula_triple(engine: SmallFieldEngine, m: int, g: FPoly, h: FPoly) -> ComplexVal:

@@ -1,10 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pffcert import arith, charsum as cs, pff, verify
-from pffcert.errors import NotADivisor
+from pffcert.errors import InconsistentTables, NotADivisor
 from pffcert.fpoly import FPoly
 from pffcert.gf import tower_for
 from pffcert.sieve import compute_Q
@@ -217,3 +218,87 @@ def test_complexval_tolerance():
     with pytest.raises(ValueError):
         cs.ComplexVal(1.0, 0.5).as_integer()
     assert cs.ComplexVal(2.0 + 1e-12, -1e-12).as_integer() == 2
+
+
+def test_trace_position_guard_rejects_a_degenerate_trace(monkeypatch):
+    # a zero trace form sends every delta to position 0: not a bijection
+    real = engine_for(3, 4)
+    fake = SimpleNamespace(**vars(real))
+    fake.abs_trace = np.zeros_like(real.abs_trace)
+    monkeypatch.setattr(cs, "engine_for", lambda q, n: fake)
+    cs._trace_positions.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not a bijection"):
+            cs._trace_positions(3, 4)
+    finally:
+        cs._trace_positions.cache_clear()
+
+
+@pytest.mark.parametrize("transform, row", [("ifftn", "additive row"), ("ifft", "multiplicative row")])
+def test_a_complex_row_raises_inconsistent_tables(monkeypatch, transform, row):
+    # an imaginary part of 1e-6 per value, far above TOL once scaled
+    exact = getattr(np.fft, transform)
+    monkeypatch.setattr(np.fft, transform, lambda a, *args: exact(a, *args) + 1e-6j)
+    cs._char_tables.cache_clear()
+    eng = engine_for(3, 4)
+    xn1 = FPoly.x_pow_n_minus_1(eng.tower.F, 4)
+    try:
+        with pytest.raises(InconsistentTables, match=f"{row} .* imaginary part"):
+            cs.N_formula(3, 4, 80, xn1, xn1)
+    finally:
+        cs._char_tables.cache_clear()
+
+
+def test_N_formula_takes_one_digit_cube_fft_per_squarefree_divisor(monkeypatch):
+    # x^6 - 1 = (x - 1)^3 (x + 1)^3 over GF(3): 16 divisors, 4 of them squarefree
+    q, n = 3, 6
+    eng = engine_for(q, n)
+    divisors = cs._all_monic_divisors(eng)
+    squarefree = [D for D in divisors if cs.poly_moebius(eng, D)]
+    assert (len(divisors), len(squarefree)) == (16, 4)
+    calls = []
+    exact = np.fft.ifftn
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return exact(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counting)
+    cs._char_tables.cache_clear()
+    ms = [d for d in range(1, eng.N + 1) if eng.N % d == 0]
+    for m in ms:
+        for g in divisors:
+            for h in divisors:
+                cs.N_formula(q, n, m, g, h).as_integer()
+    assert 0 < len(calls) <= len(squarefree)
+    assert all(shape == (3,) * 6 for shape in calls)
+
+
+def test_N_formula_reads_a_non_monic_divisor_as_its_monic_multiple():
+    # 2 (x^2 - 1) and 2 (x + 1) over GF(3)
+    eng = engine_for(3, 4)
+    g, h = poly(3, 2, 0, 1), poly(3, 1, 1)
+    g2, h2 = g.scale(2), h.scale(2)
+    assert not g2.is_monic() and not h2.is_monic()
+    for m in (1, 10, 80):
+        brute = pff.brute_N(3, 4, m, g2, h2)
+        assert brute == pff.brute_N(3, 4, m, g, h)
+        for method in ("grouped", "triple"):
+            assert cs.N_formula(3, 4, m, g2, h2, method=method).as_integer() == brute
+            assert cs.N_formula(3, 4, m, g, h, method=method).as_integer() == brute
+
+
+@pytest.mark.parametrize("method", ["grouped", "triple"])
+def test_N_formula_rejects_non_divisors(method):
+    eng = engine_for(3, 4)
+    one, xn1 = FPoly.one(eng.tower.F), FPoly.x_pow_n_minus_1(eng.tower.F, 4)
+    # x^2 + x - 1 is irreducible over GF(3) and does not divide x^4 - 1
+    for bad in (poly(3, 2, 1, 1), FPoly.zero(eng.tower.F), xn1 * xn1):
+        with pytest.raises(NotADivisor):
+            cs.N_formula(3, 4, 10, bad, one, method=method)
+        with pytest.raises(NotADivisor):
+            cs.N_formula(3, 4, 10, one, bad, method=method)
+    # 7 and 0 do not divide 3^4 - 1 = 80
+    for m in (7, 0):
+        with pytest.raises(NotADivisor):
+            cs.N_formula(3, 4, m, one, xn1, method=method)
