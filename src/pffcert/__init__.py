@@ -39,7 +39,9 @@ from .fpoly import (
     factor_xn_minus_1,
     is_e_free,
     is_free,
+    least_failing_factor,
     min_poly,
+    reduction_degree,
     sigma_eval,
 )
 from .gf import Element, FieldTower, construct_tower, field_for_order, tower_for
@@ -59,7 +61,6 @@ from .sieve import (
     eval_decomposition,
     key_ineq,
     lemma_prime_n,
-    reduction_target,
 )
 
 __version__ = "0.1.0"

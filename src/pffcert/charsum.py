@@ -13,7 +13,8 @@ are filled on first use and then shared by every call:
   D-freeness Theta(D) * sum over D' | D of mu(D')/Phi(D') * S_D', S_D' the
   sum of chi_delta over the delta of F-order D'.  Every divisor g of
   x^n - 1, monic or not, reads the row of its radical, found by looking up
-  g.monic() in the divisor index (`_divisor_index`).  A row costs one
+  g.monic() in the tower's divisor index (`FieldTower.divisor_exponents`,
+  through `SmallFieldEngine.radical_mask`).  A row costs one
   inverse FFT over the (Z/p)^(an) digit cube of E, so a field needs at most
   as many as x^n - 1 has squarefree divisors;
 - one multiplicative row per squarefree r | q^n - 1, the indicator of
@@ -55,7 +56,7 @@ import numpy as np
 from . import arith
 from .errors import InconsistentTables, NotADivisor
 from .fpoly import FPoly
-from .gf import Element, tower_for
+from .gf import Element
 from .smallfield import SmallFieldEngine, engine_for
 
 TOL = 1e-9
@@ -155,42 +156,16 @@ def _chi_values(engine: SmallFieldEngine) -> np.ndarray:
     return _proot_powers(engine.p)[engine.abs_trace % engine.p]
 
 
-@functools.lru_cache(maxsize=32)
-def _divisor_index(q: int, n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Every monic divisor of x^n - 1, keyed by its coefficients, with its
-    exponent on each irreducible factor (in `xn_profile().all_factors`
-    order), in the order of `FPoly.sort_key`."""
-    tower = tower_for(q, n)
-    profile = tower.xn_profile()
-    # x^n - 1 = (x^(n*) - 1)^(n/n*) and x^(n*) - 1 is squarefree
-    pb = n // profile.n_star
-    divs = [(FPoly.one(tower.F), ())]
-    for f in profile.all_factors:
-        powers = [FPoly.one(tower.F)]
-        for _ in range(pb):
-            powers.append(powers[-1] * f)
-        divs = [(d * fe, ex + (e,)) for d, ex in divs for e, fe in enumerate(powers)]
-    divs.sort(key=lambda de: de[0].sort_key())
-    return {d.coeffs: ex for d, ex in divs}
-
-
-def _divisor_exponents(engine: SmallFieldEngine, D: FPoly) -> tuple[int, ...]:
-    """The exponents of D.monic() on the irreducible factors of x^n - 1."""
-    exps = _divisor_index(engine.q, engine.n).get(D.monic().coeffs)
-    if exps is None:
-        raise NotADivisor(f"{D} does not divide x^{engine.n} - 1")
-    return exps
-
-
-def _radical_mask(engine: SmallFieldEngine, D: FPoly) -> int:
-    """Bit j set iff the j-th irreducible factor of x^n - 1 divides D."""
-    return sum(1 << j for j, e in enumerate(_divisor_exponents(engine, D)) if e)
+def _factor_exponents(engine: SmallFieldEngine, D: FPoly):
+    """(P, exponent of P in D) for the irreducible factors P of x^n - 1."""
+    tower = engine.tower
+    return zip(tower.xn_profile().all_factors, tower.divisor_exponents(D))
 
 
 def _all_monic_divisors(engine: SmallFieldEngine) -> list[FPoly]:
     """Monic divisors of x^n - 1, sorted by (degree, coefficients)."""
     F = engine.tower.F
-    return [FPoly(F, c) for c in _divisor_index(engine.q, engine.n)]
+    return [FPoly(F, c) for c in engine.tower.divisor_index()]
 
 
 @functools.lru_cache(maxsize=32)
@@ -228,7 +203,8 @@ def _f_order_table(q: int, n: int) -> tuple[tuple[FPoly, ...], np.ndarray]:
             mask &= tr % engine.p == 0
         newly = mask & (order_of < 0)
         order_of[newly] = di
-    assert (order_of >= 0).all()
+    if (order_of < 0).any():
+        raise InconsistentTables(f"an additive character of {tower} has no F-order dividing x^n - 1")
     return divisors, order_of
 
 
@@ -242,6 +218,7 @@ def add_char_f_order(delta: Element) -> FPoly:
 
 def delta_set(engine: SmallFieldEngine, D: FPoly) -> np.ndarray:
     """Indices of Delta_D = {delta : chi_delta has F-order D}."""
+    engine.tower.divisor_exponents(D)  # NotADivisor unless D divides x^n - 1
     divisors, order_of = _f_order_table(engine.q, engine.n)
     di = divisors.index(D.monic())
     return np.nonzero(order_of == di)[0]
@@ -251,7 +228,7 @@ def poly_phi(engine: SmallFieldEngine, D: FPoly) -> int:
     """Euler function on F[x]: Phi(D) = |D| prod over P | D of (1 - |P|^-1)."""
     q = engine.q
     out = 1
-    for P, e in zip(engine.tower.xn_profile().all_factors, _divisor_exponents(engine, D)):
+    for P, e in _factor_exponents(engine, D):
         if e:
             d = P.degree
             out *= q ** (e * d) - q ** ((e - 1) * d)
@@ -259,7 +236,7 @@ def poly_phi(engine: SmallFieldEngine, D: FPoly) -> int:
 
 
 def poly_moebius(engine: SmallFieldEngine, D: FPoly) -> int:
-    exps = _divisor_exponents(engine, D)
+    exps = engine.tower.divisor_exponents(D)
     if max(exps, default=0) > 1:
         return 0
     return -1 if sum(exps) % 2 else 1
@@ -267,7 +244,7 @@ def poly_moebius(engine: SmallFieldEngine, D: FPoly) -> int:
 
 def squarefree_poly_divisors(engine: SmallFieldEngine, g: FPoly) -> list[FPoly]:
     divs = [FPoly.one(engine.tower.F)]
-    for P, e in zip(engine.tower.xn_profile().all_factors, _divisor_exponents(engine, g)):
+    for P, e in _factor_exponents(engine, g):
         if e:
             divs = divs + [d * P for d in divs]
     return sorted(divs, key=FPoly.sort_key)
@@ -314,7 +291,7 @@ def _theta(m: int) -> Fraction:
 def _Theta(engine: SmallFieldEngine, g: FPoly) -> Fraction:
     """Phi(rad g) / |rad g|, the product of 1 - |P|^-1 over irreducible P | g."""
     out = Fraction(1)
-    for P, e in zip(engine.tower.xn_profile().all_factors, _divisor_exponents(engine, g)):
+    for P, e in _factor_exponents(engine, g):
         if e:
             out *= 1 - Fraction(1, engine.q**P.degree)
     return out
@@ -383,7 +360,7 @@ class _CharTables:
         factors = engine.tower.xn_profile().all_factors
         self._theta_P = [1 - 1 / q**P.degree for P in factors]
         divisors, order_of = _f_order_table(q, n)
-        masks = np.array([_radical_mask(engine, D) for D in divisors], dtype=np.int64)
+        masks = np.array([engine.radical_mask(D) for D in divisors], dtype=np.int64)
         weights = np.array([poly_moebius(engine, D) / poly_phi(engine, D) for D in divisors])
         pos = _trace_positions(q, n)
         # per digit-cube position: the F-order's radical mask and weight
@@ -432,7 +409,7 @@ def _mult_indicator_values(engine: SmallFieldEngine, m: int) -> np.ndarray:
 
 def _add_indicator_values(engine: SmallFieldEngine, g: FPoly) -> np.ndarray:
     """Theta(g) * integral over D | g of chi_{delta_D}(w), for all w in E."""
-    return _char_tables(engine.q, engine.n).add_row(_radical_mask(engine, g))
+    return _char_tables(engine.q, engine.n).add_row(engine.radical_mask(g))
 
 
 def N_formula(q: int, n: int, m: int, g: FPoly, h: FPoly, method: str = "grouped") -> ComplexVal:
@@ -444,7 +421,7 @@ def N_formula(q: int, n: int, m: int, g: FPoly, h: FPoly, method: str = "grouped
     sums, one per character triple, and is only meant for very small inputs.
     """
     engine = engine_for(q, n)
-    primes, g_mask, h_mask = _prime_key(engine, m), _radical_mask(engine, g), _radical_mask(engine, h)
+    primes, g_mask, h_mask = _prime_key(engine, m), engine.radical_mask(g), engine.radical_mask(h)
     if method == "triple":
         return _N_formula_triple(engine, m, g, h)
     tables = _char_tables(q, n)
@@ -528,4 +505,4 @@ def N_formula_expanded(q: int, n: int, m: int, g: FPoly, h: FPoly) -> ComplexVal
 
 
 def _is_trivial_poly(engine: SmallFieldEngine, g: FPoly) -> bool:
-    return all(not P.divides(g) for P in engine.tower.xn_profile().all_factors)
+    return not any(engine.tower.divisor_exponents(g))

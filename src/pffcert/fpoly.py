@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from . import arith
-from .errors import NotADivisor
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gf import Element
@@ -154,9 +153,6 @@ class FPoly:
 
     def __mod__(self, other: "FPoly") -> "FPoly":
         return divmod(self, other)[1]
-
-    def divides(self, other: "FPoly") -> bool:
-        return (other % self).is_zero()
 
     def monic(self) -> "FPoly":
         if self.is_zero() or self.coeffs[-1] == 1:
@@ -298,39 +294,17 @@ def factor_squarefree(f: FPoly) -> list[FPoly]:
 
 @dataclass(frozen=True)
 class FOrderProfile:
-    """Shape of x^(n*) - 1 = g(x) G(x) over GF(q).
+    """The irreducible factors of x^(n*) - 1 over GF(q), sorted by FPoly.sort_key.
 
-    G collects the irreducible factors of degree exactly s = ord_{n*}(q),
-    g those of smaller degree; m = deg g, omega_g = number of factors of g,
-    rho = omega_g / n.
+    Freeness over x^n - 1 only ever depends on this radical; x^n - 1 itself
+    is its (n/n*)-th power.  The bounds read only the factor degrees, from
+    `degree_profile`.
     """
 
     q: int
     n: int
     n_star: int
-    s: int
-    g_factors: tuple[FPoly, ...]
-    G_factors: tuple[FPoly, ...]
-
-    @property
-    def m(self) -> int:
-        return sum(f.degree for f in self.g_factors)
-
-    @property
-    def omega_g(self) -> int:
-        return len(self.g_factors)
-
-    @property
-    def rho(self) -> Fraction:
-        return Fraction(self.omega_g, self.n)
-
-    @property
-    def all_factors(self) -> tuple[FPoly, ...]:
-        return tuple(sorted(self.g_factors + self.G_factors, key=FPoly.sort_key))
-
-    @property
-    def r(self) -> int:
-        return len(self.G_factors)
+    all_factors: tuple[FPoly, ...]
 
 
 def n_star_of(n: int, p: int) -> int:
@@ -340,23 +314,9 @@ def n_star_of(n: int, p: int) -> int:
 
 
 def factor_xn_minus_1(F, n: int) -> FOrderProfile:
-    """Factor x^(n*) - 1 over F and classify factors by degree against s.
-
-    Freeness over x^n - 1 only ever depends on this radical, so the profile
-    carries the n* factorization; x^n - 1 itself is its p^b-th power.
-    """
-    q = F.order
+    """Factor the radical x^(n*) - 1 of x^n - 1 over F."""
     nstar = n_star_of(n, F.char)
-    if nstar == 1:
-        xm1 = FPoly.make(F, (F.neg(1), 1))
-        return FOrderProfile(q, n, 1, 1, (), (xm1,))
-    s = arith.mult_order(q, nstar)
-    factors = factor_squarefree(FPoly.x_pow_n_minus_1(F, nstar))
-    g = tuple(f for f in factors if f.degree < s)
-    G = tuple(f for f in factors if f.degree == s)
-    assert len(g) + len(G) == len(factors)
-    assert sum(f.degree for f in factors) == nstar
-    return FOrderProfile(q, n, nstar, s, g, G)
+    return FOrderProfile(F.order, n, nstar, tuple(factor_squarefree(FPoly.x_pow_n_minus_1(F, nstar))))
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +344,11 @@ class DegreeProfile:
     and n* otherwise.  Over GF(q), with p not dividing d, Phi_d(x) splits into
     phi(d)/ord_d(q) irreducible factors of degree ord_d(q) (Lidl and
     Niederreiter, Finite Fields, Thm 2.47), so `factors`, sorted by degree,
-    needs integer arithmetic only.  s = ord_(n*)(q); the factors of degree
-    below s make up g, and m, omega_g and rho agree with FOrderProfile's: in
-    the two special cases e is exactly the g of x^n - 1.
+    needs integer arithmetic only.  s = ord_(n*)(q) is the largest factor
+    degree of x^(n*) - 1; its factors of degree below s make up g(x), with
+    m = deg g, omega_g factors and rho = omega_g / n.  In the two special
+    cases e is exactly that g, so m, omega_g and rho read from e's factors
+    in every case.
     """
 
     q: int
@@ -472,6 +434,26 @@ def f_order(x: "Element") -> FPoly:
     return current
 
 
+def least_failing_factor(x: "Element", e: FPoly | None = None) -> FPoly | None:
+    """The least irreducible P | x^n - 1 whose cofactor ((x^n - 1)/P)^sigma
+    annihilates x, or None; with e given, only the P dividing e count.
+
+    This is the package's one freeness test on tower arithmetic.  Raises
+    NotADivisor unless e divides x^n - 1; without e it reads only the factor
+    list, not the divisor index.
+    """
+    tower = x.tower
+    factors = tower.xn_profile().all_factors
+    if e is not None:
+        factors = [P for P, k in zip(factors, tower.divisor_exponents(e)) if k]
+    xn1 = FPoly.x_pow_n_minus_1(tower.F, tower.n)
+    conjs = conjugates(x, tower.n)
+    for P in factors:
+        if sigma_eval(xn1 // P, x, conjs).is_zero():
+            return P
+    return None
+
+
 def is_e_free(x: "Element", e: FPoly) -> bool:
     """True iff x = h^sigma(v) with h | e forces h = 1.
 
@@ -479,20 +461,12 @@ def is_e_free(x: "Element", e: FPoly) -> bool:
     ((x^n - 1)/P)^sigma does not annihilate x.  Raises NotADivisor unless
     e divides x^n - 1.
     """
-    tower = x.tower
-    F = tower.F
-    xn1 = FPoly.x_pow_n_minus_1(F, tower.n)
-    if e.is_zero() or not (xn1 % e).is_zero():
-        raise NotADivisor(f"{e} does not divide x^{tower.n} - 1")
-    for P in tower.xn_profile().all_factors:
-        if P.divides(e) and sigma_eval(xn1 // P, x).is_zero():
-            return False
-    return True
+    return least_failing_factor(x, e) is None
 
 
 def is_free(x: "Element") -> bool:
     """Free (normal) over F: every irreducible factor survives."""
-    return is_e_free(x, FPoly.x_pow_n_minus_1(x.tower.F, x.tower.n))
+    return least_failing_factor(x) is None
 
 
 def min_poly(x: "Element") -> FPoly:

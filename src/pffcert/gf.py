@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fpoly
 from .arith import factor, is_prime, prime_power
-from .errors import DivisionByZero, InvalidArgument, NotIrreducible, NotPrime
+from .errors import DivisionByZero, InvalidArgument, NotADivisor, NotIrreducible, NotPrime
 from .fpoly import FPoly
 
 _TABLE_LIMIT = 1024  # build full mul/inv/add tables for base fields up to this order
@@ -75,7 +75,8 @@ class PolyExtField:
     """
 
     def __init__(self, base: PrimeField, modulus: FPoly):
-        assert modulus.is_monic() and modulus.field is base
+        if modulus.field is not base or not modulus.is_monic():
+            raise InvalidArgument(f"the modulus {modulus} is not a monic polynomial over {base}")
         self.base = base
         self.p = base.p
         self.char = base.p
@@ -208,7 +209,8 @@ class PolyExtField:
         for _ in range(self.a):
             acc = self.add(acc, y)
             y = self.pow(y, self.p)
-        assert acc < self.p
+        if acc >= self.p:
+            raise NotIrreducible(f"the trace of {x} leaves GF({self.p}), so {self.modulus} is reducible")
         return acc
 
     def format_element(self, x: int) -> str:
@@ -352,7 +354,8 @@ class FieldTower:
     """Descriptor and arithmetic engine for GF(p) < GF(q) < GF(q^n)."""
 
     def __init__(self, F, n: int, ext_modulus: FPoly):
-        assert ext_modulus.field is F and ext_modulus.is_monic() and ext_modulus.degree == n
+        if ext_modulus.field is not F or not ext_modulus.is_monic() or ext_modulus.degree != n:
+            raise InvalidArgument(f"the extension modulus {ext_modulus} is not monic of degree {n} over {F}")
         self.F = F
         self.p = F.char
         self.a = getattr(F, "a", 1)
@@ -367,6 +370,7 @@ class FieldTower:
         self._prime_base = self.a == 1
         self._frob_rows: list[tuple[int, ...]] | None = None
         self._profile: fpoly.FOrderProfile | None = None
+        self._divisors: dict[tuple[int, ...], tuple[int, ...]] | None = None
         self._generator: Element | None = None
 
     # -- construction of elements ----------------------------------------
@@ -499,7 +503,8 @@ class FieldTower:
             qq, rr = divmod(r0, r1)
             r0, r1 = r1, rr
             s0, s1 = s1, s0 - qq * s1
-        assert r0.degree == 0
+        if r0.degree != 0:
+            raise NotIrreducible(f"{x} shares the factor {r0} with the modulus {b}")
         s0 = s0.scale(F.inv(r0.coeffs[0]))
         return self.element(list(s0.coeffs))
 
@@ -541,6 +546,37 @@ class FieldTower:
         if self._profile is None:
             self._profile = fpoly.factor_xn_minus_1(self.F, self.n)
         return self._profile
+
+    def divisor_index(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Every monic divisor of x^n - 1, keyed by its coefficients, with its
+        exponent on each irreducible factor (in `xn_profile().all_factors`
+        order), in the order of `FPoly.sort_key`.  Built on first use, with
+        (n/n* + 1)^r entries for the r irreducible factors."""
+        if self._divisors is None:
+            profile = self.xn_profile()
+            one = FPoly.one(self.F)
+            # x^n - 1 = (x^(n*) - 1)^(n/n*) and x^(n*) - 1 is squarefree
+            pb = self.n // profile.n_star
+            divs = [(one, ())]
+            for f in profile.all_factors:
+                powers = [one]
+                for _ in range(pb):
+                    powers.append(powers[-1] * f)
+                divs = [(d * fe, ex + (e,)) for d, ex in divs for e, fe in enumerate(powers)]
+            divs.sort(key=lambda de: de[0].sort_key())
+            self._divisors = {d.coeffs: ex for d, ex in divs}
+        return self._divisors
+
+    def divisor_exponents(self, e: FPoly) -> tuple[int, ...]:
+        """The exponents of e.monic() on the irreducible factors of x^n - 1.
+
+        This is the package's one test of divisibility by x^n - 1: it raises
+        NotADivisor for e = 0 and for any e that does not divide x^n - 1.
+        """
+        exps = self.divisor_index().get(e.monic().coeffs)
+        if exps is None:
+            raise NotADivisor(f"{e} does not divide x^{self.n} - 1")
+        return exps
 
     def __repr__(self) -> str:
         return f"GF({self.q}^{self.n})/GF({self.q})"

@@ -4,6 +4,10 @@ The certifier decides whether a pair (q, n) admits a primitive element
 that is free over GF(q) with a free inverse.  Every bound it tries is a
 sieve decomposition, which passes when q^(n/2) > 2 W(core) Delta
 (`eval_decomposition`); `key_ineq` and `eval_R` serve the R(n) tables.
+Every bound reads the reduction target x^k - 1 only through the degrees of
+its factors (`fpoly.degree_profile`), so no bound builds a field or factors
+a polynomial; only the exception-list, witness and search stages of
+`certify` do, through `pff`.
 Bound verdicts are computed on exact rationals: a criterion q^(n/2) > B
 with rational B is decided by comparing q^n against B^2, so no verdict
 ever rests on floating point.  Floats appear only in reported R values.
@@ -21,8 +25,7 @@ from typing import Iterator, Literal
 from . import arith, fpoly, pff, witnesses
 from .arith import Factorization, factor, mult_order
 from .errors import DenominatorNonPositive, FactorTimeout, InvalidArgument, NonPositiveDelta
-from .fpoly import CyclotomicFactor, DegreeProfile, FOrderProfile, FPoly
-from .gf import field_for_order
+from .fpoly import CyclotomicFactor, DegreeProfile, FPoly
 
 EXCEPTIONAL_PAIRS = frozenset({(2, 3), (2, 4), (3, 4), (4, 3), (5, 4)})
 
@@ -125,16 +128,6 @@ def compute_Q(q: int, n: int, effort: int = arith.DEFAULT_EFFORT) -> QData:
     found = Factorization(N // ((q - 1) * g) // math.prod(cofactors), exps)
     R *= math.prod(p**e for p, e in in_N.items() if in_quotient.get(p, 0) <= 0)
     return QData(q, n, found, tuple(sorted(cofactors)), N // R, R)
-
-
-def reduction_target(q: int, n: int) -> FPoly:
-    """The polynomial e with N(Q, x^n-1, x^n-1) = N(Q, e, e).
-
-    x - 1 for n = 3 with q = 2 mod 3; x^2 - 1 for n = 4 with q = 3 mod 4;
-    otherwise the radical x^(n*) - 1.  The bounds read only the degrees of
-    its factors, from `fpoly.degree_profile`.
-    """
-    return FPoly.x_pow_n_minus_1(field_for_order(q), fpoly.reduction_degree(q, n))
 
 
 def lemma_prime_n(q: int, n: int) -> bool:
@@ -315,12 +308,13 @@ def _bound_from_braced(q: int, n: int, braced: Fraction, numerics: dict) -> Boun
 def key_ineq(
     q: int,
     n: int,
-    profile: DegreeProfile | FOrderProfile,
+    profile: DegreeProfile,
     partition: Partition,
     refined: bool = False,
     qdata: QData | None = None,
 ) -> BoundResult:
-    """The core-atom inequality for the g/G split of x^(n*) - 1.
+    """The core-atom inequality for the g/G split of x^(n*) - 1, read from
+    the degree profile of (q, n).
 
     Additive-only when the sieving prime set is empty.  With W(Q), or its
     upper bound where a cofactor resisted factoring (the bound increases

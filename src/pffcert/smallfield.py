@@ -156,14 +156,16 @@ class SmallFieldEngine:
             out[1:] |= self.log[1:] % l == 0
         return out
 
+    def radical_mask(self, e: FPoly) -> int:
+        """Bit j set iff the j-th irreducible factor of x^n - 1 divides e.
+
+        Raises NotADivisor unless e divides x^n - 1 (`FieldTower.divisor_exponents`).
+        """
+        return sum(1 << j for j, k in enumerate(self.tower.divisor_exponents(e)) if k)
+
     def add_fail_mask(self, e: FPoly) -> np.ndarray:
-        """True where w is NOT e-free, for monic e dividing x^n - 1."""
-        profile = self.tower.xn_profile()
-        sel = 0
-        for j, P in enumerate(profile.all_factors):
-            if P.divides(e):
-                sel |= 1 << j
-        return (self.add_fail & sel) != 0
+        """True where w is NOT e-free, for e dividing x^n - 1."""
+        return (self.add_fail & self.radical_mask(e)) != 0
 
     def free_mask(self) -> np.ndarray:
         """True where w is free over F (full x^n - 1 freeness)."""

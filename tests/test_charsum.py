@@ -44,6 +44,8 @@ def test_poly_phi_and_moebius_reject_non_divisors():
         cs.poly_phi(eng, D)
     with pytest.raises(NotADivisor):
         cs.poly_moebius(eng, D)
+    with pytest.raises(NotADivisor):
+        cs.delta_set(eng, D)
 
 
 def test_delta_set_invariant_under_base_scaling():

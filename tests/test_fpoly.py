@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from pffcert import fpoly
+from pffcert import arith, fpoly
 from pffcert.errors import NotADivisor
 from pffcert.fpoly import FPoly, f_order, factor_xn_minus_1, is_e_free, min_poly, reciprocal, sigma_eval
 from pffcert.gf import field_for_order, tower_for
@@ -39,22 +40,37 @@ def test_factor_squarefree_roundtrip():
     assert prod == f
 
 
+def _cz_shape(q, n):
+    """The Cantor-Zassenhaus factors of x^(n*) - 1 over GF(q), with s, m and
+    omega_g read off them: s is the largest factor degree, and g is the
+    product of the factors of smaller degree."""
+    factors = factor_xn_minus_1(field_for_order(q), n).all_factors
+    s = max(f.degree for f in factors)
+    g = [f.degree for f in factors if f.degree < s]
+    return factors, s, sum(g), len(g)
+
+
 def test_profile_2_21():
-    prof = factor_xn_minus_1(field_for_order(2), 21)
-    assert sorted(f.degree for f in prof.all_factors) == [1, 2, 3, 3, 6, 6]
-    assert prof.s == 6
-    assert prof.m == 9 and prof.omega_g == 4
+    factors, s, m, omega_g = _cz_shape(2, 21)
+    assert sorted(f.degree for f in factors) == [1, 2, 3, 3, 6, 6]
+    assert (s, m, omega_g) == (6, 9, 4)
+    prof = fpoly.degree_profile(2, 21)
+    assert (prof.s, prof.m, prof.omega_g) == (6, 9, 4)
 
 
 def test_profile_17_16():
-    prof = factor_xn_minus_1(field_for_order(17), 16)
-    assert all(f.degree == 1 for f in prof.all_factors)
-    assert len(prof.all_factors) == 16
-    assert prof.s == 1
+    factors, s, m, omega_g = _cz_shape(17, 16)
+    assert all(f.degree == 1 for f in factors)
+    assert len(factors) == 16
+    assert s == 1
+    prof = fpoly.degree_profile(17, 16)
+    assert prof.s == 1 and len(prof.factors) == 16
 
 
 def test_profile_4_45():
-    prof = factor_xn_minus_1(field_for_order(4), 45)
+    _, s, _, omega_g = _cz_shape(4, 45)
+    assert s == 6 and Fraction(omega_g, 45) == Fraction(11, 45)
+    prof = fpoly.degree_profile(4, 45)
     assert prof.s == 6
     assert prof.rho == Fraction(11, 45)
 
@@ -65,11 +81,14 @@ def test_profile_invariants():
         prof = factor_xn_minus_1(F, n)
         prod = FPoly.one(F)
         for f in prof.all_factors:
+            assert fpoly.is_irreducible(f)
             prod = prod * f
         assert prod == FPoly.x_pow_n_minus_1(F, prof.n_star)
-        assert all(f.degree == prof.s for f in prof.G_factors)
-        assert all(f.degree < prof.s for f in prof.g_factors)
-        assert len(prof.G_factors) == (prof.n_star - prof.m) // prof.s
+        assert list(prof.all_factors) == sorted(prof.all_factors, key=FPoly.sort_key)
+        deg = fpoly.degree_profile(q, n)
+        assert deg.s == arith.mult_order(q, prof.n_star)
+        assert all(f.degree <= deg.s for f in deg.factors)
+        assert sum(f.degree == deg.s for f in deg.factors) == (deg.n_star - deg.m) // deg.s
 
 
 def test_degree_profile_matches_the_factorization():
@@ -78,11 +97,11 @@ def test_degree_profile_matches_the_factorization():
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         for n in range(3, 25):
             F = field_for_order(q)
-            exact = factor_xn_minus_1(F, n)
+            factors, s, m, omega_g = _cz_shape(q, n)
             prof = fpoly.degree_profile(q, n)
             assert (prof.n_star, prof.s, prof.m, prof.omega_g, prof.rho) == (
-                exact.n_star, exact.s, exact.m, exact.omega_g, exact.rho), (q, n)
-            target = (exact.all_factors if prof.e_degree == prof.n_star
+                fpoly.n_star_of(n, F.char), s, m, omega_g, Fraction(omega_g, n)), (q, n)
+            target = (factors if prof.e_degree == prof.n_star
                       else fpoly.factor_squarefree(FPoly.x_pow_n_minus_1(F, prof.e_degree)))
             assert [f.degree for f in prof.factors] == [f.degree for f in target], (q, n)
             special = 1 if n == 3 and q % 3 == 2 else 2 if n == 4 and q % 4 == 3 else None
@@ -187,6 +206,22 @@ def test_is_e_free():
             assert is_e_free(e, xm1) == (e.trace_to_base() != 0)
     with pytest.raises(NotADivisor):
         is_e_free(t.one_element(), poly(2, 1, 1, 1))  # x^2+x+1 does not divide x^4-1
+    with pytest.raises(NotADivisor):
+        is_e_free(t.one_element(), FPoly.zero(t.F))
+
+
+def test_least_failing_factor_with_and_without_e():
+    # without e every factor of x^n - 1 counts; with e only those dividing e
+    for q, n in [(3, 4), (2, 6), (5, 3)]:
+        t = tower_for(q, n)
+        factors = t.xn_profile().all_factors
+        xn1 = FPoly.x_pow_n_minus_1(t.F, n)
+        for x in itertools.islice(t.elements(), 1, None):
+            P = fpoly.least_failing_factor(x)
+            assert P == fpoly.least_failing_factor(x, xn1)
+            assert (P is None) == fpoly.is_free(x)
+            failing = [f for f in factors if fpoly.least_failing_factor(x, f) is not None]
+            assert P == (failing[0] if failing else None)
 
 
 def test_min_poly():

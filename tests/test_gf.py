@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from pffcert.errors import DivisionByZero, NotIrreducible, NotPrime
+from pffcert.errors import DivisionByZero, InvalidArgument, NotIrreducible, NotPrime
 from pffcert.fpoly import FPoly, is_irreducible
-from pffcert.gf import FieldTower, base_field, construct_tower, field_for_order, lex_least_irreducible, tower_for
+from pffcert.gf import FieldTower, PolyExtField, base_field, construct_tower, field_for_order, lex_least_irreducible, tower_for
 
 
 def test_preferred_base_moduli():
@@ -20,6 +20,19 @@ def test_construct_tower_validation():
         construct_tower(2, 2, 2, base_modulus=(1, 0, 1))  # u^2+1 = (u+1)^2
     with pytest.raises(NotIrreducible):
         construct_tower(2, 1, 2, ext_modulus=(0, 0, 1))  # x^2
+
+
+def test_direct_constructors_check_their_moduli():
+    F2 = field_for_order(2)
+    with pytest.raises(InvalidArgument):
+        FieldTower(F2, 3, FPoly(F2, (1, 0, 1)))  # degree 2, not 3
+    with pytest.raises(InvalidArgument):
+        PolyExtField(field_for_order(3), FPoly(field_for_order(3), (1, 0, 2)))  # 2u^2 + 1 is not monic
+    # built directly, a tower skips the irreducibility test; inverse finds the shared factor
+    t = FieldTower(F2, 2, FPoly(F2, (1, 0, 1)))  # x^2 + 1 = (x + 1)^2
+    assert t.element([0, 1]).inverse() == t.element([0, 1])  # x * x = 1
+    with pytest.raises(NotIrreducible):
+        t.element([1, 1]).inverse()  # x + 1 divides the modulus
 
 
 def test_default_ext_modulus_is_lex_least():

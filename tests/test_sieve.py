@@ -23,7 +23,6 @@ from pffcert.sieve import (
     eval_decomposition,
     key_ineq,
     lemma_prime_n,
-    reduction_target,
 )
 
 
@@ -40,10 +39,11 @@ def test_compute_Q_examples():
 
 
 def test_reduction_target():
-    assert str(reduction_target(5, 4)) == "x^4 - 1"
-    assert str(reduction_target(3, 4)) == "x^2 - 1"
-    assert str(reduction_target(5, 3)) == "x - 1"
-    assert str(reduction_target(2, 12)) == "x^3 + 1"  # char 2: x^3 - 1
+    # the reduction target e = x^k - 1 is known by its degree k
+    assert fpoly.reduction_degree(5, 4) == 4
+    assert fpoly.reduction_degree(3, 4) == 2
+    assert fpoly.reduction_degree(5, 3) == 1
+    assert fpoly.reduction_degree(2, 12) == 3  # char 2: n* = 3
 
 
 def test_lemma_prime_n():
@@ -99,7 +99,7 @@ def test_non_positive_delta():
 
 
 def test_key_ineq_5_9():
-    profile = fpoly.factor_xn_minus_1(field_for_order(5), 9)
+    profile = fpoly.degree_profile(5, 9)
     res = key_ineq(5, 9, profile, Partition((19, 31, 829), ()), refined=True)
     assert res.passes
     assert math.ceil(res.R * 100) / 100 == 4.49
@@ -108,21 +108,21 @@ def test_key_ineq_5_9():
 
 
 def test_key_ineq_4_15_fails():
-    profile = fpoly.factor_xn_minus_1(field_for_order(4), 15)
+    profile = fpoly.degree_profile(4, 15)
     part = Partition(tuple(compute_Q(4, 15).primes), ())
     res = key_ineq(4, 15, profile, part, refined=True)
     assert not res.passes
 
 
 def test_key_ineq_rejects_partitions_missing_primes():
-    profile = fpoly.factor_xn_minus_1(field_for_order(5), 9)
+    profile = fpoly.degree_profile(5, 9)
     with pytest.raises(ValueError):
         key_ineq(5, 9, profile, Partition((19, 31), ()), refined=True)
 
 
 def test_key_ineq_denominator_guard():
     # s = 1 with q = 2 makes the additive denominator vanish
-    profile = fpoly.factor_xn_minus_1(field_for_order(2), 16)
+    profile = fpoly.degree_profile(2, 16)
     part = Partition(tuple(compute_Q(2, 16).primes), ())
     with pytest.raises(DenominatorNonPositive):
         key_ineq(2, 16, profile, part, refined=False)
@@ -145,7 +145,7 @@ def test_eval_R_rejects_a_fractional_exponent():
 
 def test_eval_R_pass_verdict_matches_key_ineq():
     for q, n in [(5, 9), (3, 13), (2, 45), (4, 35)]:
-        profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
+        profile = fpoly.degree_profile(q, n)
         u = compute_Q(q, n).radical.omega
         part = Partition(tuple(compute_Q(q, n).primes), ())
         a = key_ineq(q, n, profile, part, refined=True)
@@ -162,7 +162,7 @@ def test_choose_partition():
     assert abs(float(part.delta) - 0.8610) < 1e-3
     part = choose_partition(13, 8, "sieve-4")
     assert part.core == (2,) and len(part.sieving) == 4
-    res = key_ineq(13, 8, fpoly.factor_xn_minus_1(field_for_order(13), 8), part, refined=True)
+    res = key_ineq(13, 8, fpoly.degree_profile(13, 8), part, refined=True)
     assert res.passes and res.R < 11
 
 
@@ -273,8 +273,8 @@ def test_lower_bound_soundness_spot():
             count = pff.brute_N(q, n, m, g, h)
             scale = _theta(m) * _Theta(eng, g) * _Theta(eng, h)
             Wm = arith.W(m)
-            Wg = 2 ** sum(1 for f in factors if f.divides(g))
-            Wh = 2 ** sum(1 for f in factors if f.divides(h))
+            Wg = 2 ** sum(1 for f in factors if (g % f).is_zero())
+            Wh = 2 ** sum(1 for f in factors if (h % f).is_zero())
             # count >= scale * (q^n - 2 W q^(n/2)): exact comparison via squaring
             slack = Fraction(count) - scale * q**n
             rhs = -scale * 2 * Wm * Wg * Wh  # times q^(n/2)
@@ -444,7 +444,7 @@ def test_bound_certificates_carry_the_exact_key_inequality():
         cert = certify(q, n, CertifyConfig(factor_effort=effort))
         assert cert.method == ("keyineq-full" if (q, n) == (13, 8) else "keyineq-additive")
         qd = compute_Q(q, n, cert.numerics["factor_effort"])
-        profile = fpoly.factor_xn_minus_1(field_for_order(q), n)
+        profile = fpoly.degree_profile(q, n)
         sieving = tuple(a.value for a in cert.numerics["atoms"] if a.kind == "prime")
         part = Partition(tuple(p for p in qd.primes if p not in sieving), sieving, qd.cofactor_omega)
         exact = key_ineq(q, n, profile, part, refined=False, qdata=qd)
@@ -461,7 +461,7 @@ def test_key_inequality_candidates_equal_key_ineq_on_the_acceptance_grid():
     # denominator is not positive
     compared = 0
     for q, n in ACCEPTANCE_GRID:
-        if reduction_target(q, n).degree != fpoly.n_star_of(n, arith.prime_power(q)[0]):
+        if fpoly.reduction_degree(q, n) != fpoly.n_star_of(n, arith.prime_power(q)[0]):
             continue
         qd = compute_Q(q, n)
         profile = fpoly.degree_profile(q, n)
@@ -539,7 +539,7 @@ def test_qdata_with_cofactor_is_exact_only_where_it_can_be():
     for strat in ("default", "all-core", "sieve-2"):
         part = choose_partition(7, 35, strat, qd)
         assert set(part.sieving) <= set(qd.primes) and part.unknown == 3
-    profile = fpoly.factor_xn_minus_1(field_for_order(7), 35)
+    profile = fpoly.degree_profile(7, 35)
     with pytest.raises(ValueError):
         key_ineq(7, 35, profile, Partition(qd.primes, ()), qdata=qd)
     assert key_ineq(7, 35, profile, Partition(qd.primes, (), 3), qdata=qd).passes

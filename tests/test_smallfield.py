@@ -12,7 +12,7 @@ import pytest
 
 import pffcert
 from pffcert import arith, fpoly, pff
-from pffcert.errors import BudgetExceeded, InconsistentTables
+from pffcert.errors import BudgetExceeded, InconsistentTables, NotADivisor
 from pffcert.fpoly import FPoly, is_e_free
 from pffcert.gf import tower_for
 from pffcert.smallfield import ENGINE_LIMIT, engine_for
@@ -57,6 +57,20 @@ def test_freeness_masks(q, n):
         for l in (eng.N_factors.primes or (1,)):
             if l > 1:
                 assert bool(eng.mult_fail_mask(l)[idx]) == (not pff.is_m_free(e, l))
+
+
+def test_add_fail_mask_rejects_a_non_divisor():
+    # x^2 + x + 1 does not divide x^4 - 1 over GF(2): no mask, as in brute_N
+    eng = engine_for(2, 4)
+    F = eng.tower.F
+    for e in (FPoly(F, (1, 1, 1)), FPoly.zero(F)):
+        with pytest.raises(NotADivisor):
+            eng.add_fail_mask(e)
+        with pytest.raises(NotADivisor):
+            pff.brute_N(2, 4, 1, e, FPoly.one(F))
+    # x + 1 and x^4 - 1 = (x + 1)^4 have the same radical, so the same mask
+    x4m1 = FPoly.x_pow_n_minus_1(F, 4)
+    assert (eng.add_fail_mask(FPoly(F, (1, 1))) == eng.add_fail_mask(x4m1)).all()
 
 
 def test_budget_guard():
