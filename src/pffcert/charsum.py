@@ -12,11 +12,11 @@ are filled on first use and then shared by every call:
 - one additive row per squarefree divisor D of x^n - 1, the indicator of
   D-freeness Theta(D) * sum over D' | D of mu(D')/Phi(D') * S_D', S_D' the
   sum of chi_delta over the delta of F-order D'.  Every divisor g of
-  x^n - 1, monic or not, reads the row of its radical, found by looking up
-  g.monic() in the tower's divisor index (`FieldTower.divisor_exponents`,
-  through `SmallFieldEngine.radical_mask`).  A row costs one
-  inverse FFT over the (Z/p)^(an) digit cube of E, so a field needs at most
-  as many as x^n - 1 has squarefree divisors;
+  x^n - 1, monic or not, reads the row of its radical, found from the
+  exponents of g.monic() on the factors of x^n - 1
+  (`FieldTower.divisor_exponents`, through `SmallFieldEngine.radical_mask`).
+  A row costs one inverse FFT over the (Z/p)^(an) digit cube of E, so a
+  field needs at most as many as x^n - 1 has squarefree divisors;
 - one multiplicative row per squarefree r | q^n - 1, the indicator of
   r-freeness, already gathered at log w over E*: one inverse FFT of length
   r, since the characters of order dividing r repeat with period r in
@@ -163,9 +163,19 @@ def _factor_exponents(engine: SmallFieldEngine, D: FPoly):
 
 
 def _all_monic_divisors(engine: SmallFieldEngine) -> list[FPoly]:
-    """Monic divisors of x^n - 1, sorted by (degree, coefficients)."""
+    """Monic divisors of x^n - 1, sorted by (degree, coefficients): the
+    (n/n* + 1)^r products of powers of the r irreducible factors."""
     F = engine.tower.F
-    return [FPoly(F, c) for c in engine.tower.divisor_index()]
+    profile = engine.tower.xn_profile()
+    # x^n - 1 = (x^(n*) - 1)^(n/n*) and x^(n*) - 1 is squarefree
+    pb = engine.n // profile.n_star
+    divs = [FPoly.one(F)]
+    for f in profile.all_factors:
+        powers = [FPoly.one(F)]
+        for _ in range(pb):
+            powers.append(powers[-1] * f)
+        divs = [d * fe for d in divs for fe in powers]
+    return sorted(divs, key=FPoly.sort_key)
 
 
 @functools.lru_cache(maxsize=32)

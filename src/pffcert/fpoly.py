@@ -440,12 +440,14 @@ def least_failing_factor(x: "Element", e: FPoly | None = None) -> FPoly | None:
 
     This is the package's one freeness test on tower arithmetic.  Raises
     NotADivisor unless e divides x^n - 1; without e it reads only the factor
-    list, not the divisor index.
+    list, not `FieldTower.divisor_exponents`.
     """
     tower = x.tower
     factors = tower.xn_profile().all_factors
     if e is not None:
         factors = [P for P, k in zip(factors, tower.divisor_exponents(e)) if k]
+        if not factors:
+            return None
     xn1 = FPoly.x_pow_n_minus_1(tower.F, tower.n)
     conjs = conjugates(x, tower.n)
     for P in factors:

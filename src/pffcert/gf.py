@@ -370,7 +370,7 @@ class FieldTower:
         self._prime_base = self.a == 1
         self._frob_rows: list[tuple[int, ...]] | None = None
         self._profile: fpoly.FOrderProfile | None = None
-        self._divisors: dict[tuple[int, ...], tuple[int, ...]] | None = None
+        self._exponents: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._generator: Element | None = None
 
     # -- construction of elements ----------------------------------------
@@ -547,35 +547,36 @@ class FieldTower:
             self._profile = fpoly.factor_xn_minus_1(self.F, self.n)
         return self._profile
 
-    def divisor_index(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Every monic divisor of x^n - 1, keyed by its coefficients, with its
-        exponent on each irreducible factor (in `xn_profile().all_factors`
-        order), in the order of `FPoly.sort_key`.  Built on first use, with
-        (n/n* + 1)^r entries for the r irreducible factors."""
-        if self._divisors is None:
-            profile = self.xn_profile()
-            one = FPoly.one(self.F)
-            # x^n - 1 = (x^(n*) - 1)^(n/n*) and x^(n*) - 1 is squarefree
-            pb = self.n // profile.n_star
-            divs = [(one, ())]
-            for f in profile.all_factors:
-                powers = [one]
-                for _ in range(pb):
-                    powers.append(powers[-1] * f)
-                divs = [(d * fe, ex + (e,)) for d, ex in divs for e, fe in enumerate(powers)]
-            divs.sort(key=lambda de: de[0].sort_key())
-            self._divisors = {d.coeffs: ex for d, ex in divs}
-        return self._divisors
-
     def divisor_exponents(self, e: FPoly) -> tuple[int, ...]:
-        """The exponents of e.monic() on the irreducible factors of x^n - 1.
+        """The exponents of e.monic() on the irreducible factors of x^n - 1,
+        in `xn_profile().all_factors` order.
 
         This is the package's one test of divisibility by x^n - 1: it raises
-        NotADivisor for e = 0 and for any e that does not divide x^n - 1.
+        NotADivisor for e = 0 and for any e that does not divide x^n - 1.  A
+        divisor costs at most r * n/n* divisions by the r factors on its
+        first call and one lookup after.
         """
-        exps = self.divisor_index().get(e.monic().coeffs)
+        if e.is_zero():
+            raise NotADivisor(f"0 does not divide x^{self.n} - 1")
+        rest = e.monic()
+        key = rest.coeffs
+        exps = self._exponents.get(key)
         if exps is None:
-            raise NotADivisor(f"{e} does not divide x^{self.n} - 1")
+            profile = self.xn_profile()
+            # x^n - 1 = (x^(n*) - 1)^(n/n*) and x^(n*) - 1 is squarefree
+            pb = self.n // profile.n_star
+            found = []
+            for f in profile.all_factors:
+                k = 0
+                while k < pb and f.degree <= rest.degree:
+                    quo, rem = divmod(rest, f)
+                    if not rem.is_zero():
+                        break
+                    rest, k = quo, k + 1
+                found.append(k)
+            if not rest.is_one():
+                raise NotADivisor(f"{e} does not divide x^{self.n} - 1")
+            exps = self._exponents[key] = tuple(found)
         return exps
 
     def __repr__(self) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,24 @@ def test_least_failing_factor_with_and_without_e():
             assert (P is None) == fpoly.is_free(x)
             failing = [f for f in factors if fpoly.least_failing_factor(x, f) is not None]
             assert P == (failing[0] if failing else None)
+
+
+def test_is_e_free_on_a_tower_with_many_factors():
+    # x^32 - 1 splits into 32 linear factors over GF(97), so it has 2^32
+    # monic divisors; freeness must cost divisions by the factors, not a
+    # list of every divisor
+    t = tower_for(97, 32)
+    factors = t.xn_profile().all_factors
+    assert len(factors) == 32
+    xn1 = FPoly.x_pow_n_minus_1(t.F, 32)
+    rng = random.Random(5)
+    start = time.perf_counter()
+    for _ in range(3):
+        x = t.element([rng.randrange(97) for _ in range(32)])
+        P = fpoly.least_failing_factor(x)
+        assert is_e_free(x, xn1) == (P is None)
+        assert is_e_free(x, xn1 // factors[0]) == (P is None or P == factors[0])
+    assert time.perf_counter() - start < 10
 
 
 def test_min_poly():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pffcert.errors import DivisionByZero, InvalidArgument, NotIrreducible, NotPrime
+from pffcert.errors import DivisionByZero, InvalidArgument, NotADivisor, NotIrreducible, NotPrime
 from pffcert.fpoly import FPoly, is_irreducible
 from pffcert.gf import FieldTower, PolyExtField, base_field, construct_tower, field_for_order, lex_least_irreducible, tower_for
 
@@ -33,6 +33,25 @@ def test_direct_constructors_check_their_moduli():
     assert t.element([0, 1]).inverse() == t.element([0, 1])  # x * x = 1
     with pytest.raises(NotIrreducible):
         t.element([1, 1]).inverse()  # x + 1 divides the modulus
+
+
+def test_divisor_exponents():
+    # x^4 - 1 = (x + 1)^4 over GF(2); x^6 - 1 = ((x + 1)(x^2 + x + 1))^2
+    t = tower_for(2, 4)
+    x1 = FPoly(t.F, (1, 1))
+    assert t.divisor_exponents(FPoly.one(t.F)) == (0,)
+    assert t.divisor_exponents(x1 * x1 * x1) == (3,)
+    t6 = tower_for(2, 6)
+    x2 = FPoly(t6.F, (1, 1, 1))
+    assert t6.xn_profile().all_factors == (FPoly(t6.F, (1, 1)), x2)
+    assert t6.divisor_exponents(x2 * x2) == (0, 2)
+    assert t6.divisor_exponents(FPoly.x_pow_n_minus_1(t6.F, 6)) == (2, 2)
+    # 2x + 2 over GF(3) reads as its monic multiple x + 1
+    t3 = tower_for(3, 4)
+    assert t3.divisor_exponents(FPoly(t3.F, (2, 2))) == t3.divisor_exponents(FPoly(t3.F, (1, 1)))
+    for bad in [x1 * x1 * x1 * x1 * x1, FPoly(t.F, (1, 1, 1)), FPoly.x(t.F), FPoly.zero(t.F)]:
+        with pytest.raises(NotADivisor):
+            t.divisor_exponents(bad)
 
 
 def test_default_ext_modulus_is_lex_least():
