@@ -165,14 +165,36 @@ class FPoly:
             a, b = b, a % b
         return a.monic()
 
+    def resultant(self, other: "FPoly") -> int:
+        """Res(self, other) in F, from the Euclidean remainder sequence.
+
+        With A = Q B + R: Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R) Res(B, R),
+        and Res(A, c) = c^(deg A) for a constant c.  For monic self this is
+        the product of other(alpha) over the roots alpha of self.
+        """
+        F = self.field
+        a, b = self, other
+        acc = 1
+        while b.degree > 0:
+            r = a % b
+            if r.is_zero():
+                return 0
+            if a.degree * b.degree % 2:
+                acc = F.neg(acc)
+            acc = F.mul(acc, F.pow(b.coeffs[-1], a.degree - r.degree))
+            a, b = b, r
+        return F.mul(acc, F.pow(b[0], a.degree))
+
     def pow_mod(self, e: int, mod: "FPoly") -> "FPoly":
-        result = FPoly.one(self.field)
+        """self^e mod `mod` by a left-to-right ladder (1 for e = 0)."""
+        if e == 0:
+            return FPoly.one(self.field)
         base = self % mod
-        while e:
-            if e & 1:
+        result = base
+        for bit in bin(e)[3:]:
+            result = result * result % mod
+            if bit == "1":
                 result = result * base % mod
-            base = base * base % mod
-            e >>= 1
         return result
 
     def evaluate(self, x: int) -> int:
@@ -202,21 +224,16 @@ class FPoly:
 
 
 def is_irreducible(f: FPoly) -> bool:
-    """Rabin's test over GF(q)."""
-    F = f.field
-    q = F.order
-    n = f.degree
-    if n <= 0:
+    """Ben-Or's test over GF(q): f of degree n is reducible iff
+    gcd(f, x^(q^i) - x) != 1 for some i <= n/2, and most reducible f show it
+    within a round or two (Gao and Panario 1997)."""
+    q = f.field.order
+    if f.degree <= 0:
         return False
-    if n == 1:
-        return True
-    x = FPoly.x(F)
-    xq = x.pow_mod(q**n, f)
-    if xq != x % f:
-        return False
-    for t in arith.factor(n).primes:
-        h = x.pow_mod(q ** (n // t), f) - x
-        if not f.gcd(h).is_one():
+    h = x = FPoly.x(f.field)
+    for _ in range(f.degree // 2):
+        h = h.pow_mod(q, f)
+        if not f.gcd(h - x).is_one():
             return False
     return True
 
@@ -471,26 +488,43 @@ def is_free(x: "Element") -> bool:
     return least_failing_factor(x) is None
 
 
+def _berlekamp_massey(F, s: list[int]) -> list[int]:
+    """The minimal polynomial of the least linear recurrence that generates s,
+    monic, coefficients least significant first (Massey 1969)."""
+    N = len(s)
+    C, B = [1] + [0] * N, [1] + [0] * N  # connection polynomials
+    L, m, b = 0, 1, 1
+    for k in range(N):
+        d = s[k]
+        for i in range(1, L + 1):
+            d = F.add(d, F.mul(C[i], s[k - i]))
+        if d == 0:
+            m += 1
+            continue
+        coef = F.mul(d, F.inv(b))
+        T = list(C)
+        for i, c in enumerate(B[: N + 1 - m]):
+            if c:
+                C[i + m] = F.sub(C[i + m], F.mul(coef, c))
+        if 2 * L <= k:
+            L, B, b, m = k + 1 - L, T, d, 1
+        else:
+            m += 1
+    return C[L::-1]
+
+
 def min_poly(x: "Element") -> FPoly:
-    """Minimal polynomial of x over F, from the product of distinct conjugates."""
+    """Minimal polynomial of x over F, by Berlekamp-Massey on s_k = coeff_0(x^k), k < 2n.
+
+    The minimal polynomial of x is irreducible and annihilates the sequence,
+    and s_0 = 1, so the sequence's least recurrence is that polynomial itself.
+    """
     tower = x.tower
-    conjs = [x]
-    c = x.frobenius(1)
-    while c != x:
-        conjs.append(c)
-        c = c.frobenius(1)
-    # multiply (X - c) in E[X], then read coefficients back in F
-    E_one = tower.one_element()
-    poly = [E_one]
-    for c in conjs:
-        nc = -c
-        new = [tower.zero_element()] * (len(poly) + 1)
-        for i, a in enumerate(poly):
-            new[i + 1] = new[i + 1] + a
-            new[i] = new[i] + a * nc
-        poly = new
-    coeffs = [a.as_base_field() for a in poly]
-    return FPoly.make(tower.F, coeffs)
+    s, power = [1, x.coeffs[0]], x
+    while len(s) < 2 * tower.n:
+        power = power * x
+        s.append(power.coeffs[0])
+    return FPoly.make(tower.F, _berlekamp_massey(tower.F, s))
 
 
 def reciprocal(f: FPoly) -> FPoly:

@@ -417,11 +417,12 @@ class FieldTower:
         return self._generator
 
     def norm(self, x: Element) -> int:
-        """Norm_(E/F)(x) = x * x^q * ... * x^(q^(n-1)) = x^((q^n - 1)/(q - 1)), in F."""
-        acc = x
-        for _ in range(self.n - 1):
-            acc = acc.frobenius(1) * x
-        return acc.as_base_field()
+        """Norm_(E/F)(x) = x * x^q * ... * x^(q^(n-1)) = x^((q^n - 1)/(q - 1)), in F.
+
+        For x = g(theta), with theta a root of the monic extension modulus f,
+        that product is Res(f, g): O(n^2) operations in F, no Frobenius map.
+        """
+        return self.ext_modulus.resultant(FPoly.make(self.F, x.coeffs))
 
     def lth_power_primes(self, x: Element, primes: Iterable[int]) -> Iterator[int]:
         """The primes l of `primes`, in order, with x^((q^n - 1)/l) = 1.
@@ -584,8 +585,7 @@ class FieldTower:
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_tower(p: int, a: int, n: int, base_coeffs, ext_coeffs) -> FieldTower:
-    F = base_field(p, a, base_coeffs)
+def _cached_tower(F, n: int, ext_coeffs) -> FieldTower:
     if ext_coeffs is None:
         ext = lex_least_irreducible(F, n)
     else:
@@ -605,7 +605,15 @@ def construct_tower(p: int, a: int, n: int, base_modulus=None, ext_modulus=None)
         raise InvalidArgument(f"extension degrees a = {a}, n = {n} must be positive")
     bc = tuple(base_modulus) if base_modulus is not None else None
     ec = tuple(ext_modulus) if ext_modulus is not None else None
-    return _cached_tower(p, a, n, bc, ec)
+    return _cached_tower(base_field(p, a, bc), n, ec)
+
+
+def tower_mod(f: FPoly) -> FieldTower:
+    """The tower F[x]/(f) over the field F of f's coefficients.
+
+    Raises NotIrreducible unless f is monic and irreducible over F.
+    """
+    return _cached_tower(f.field, f.degree, f.coeffs)
 
 
 def tower_for(q: int, n: int, ext_modulus=None) -> FieldTower:

@@ -17,7 +17,7 @@ from typing import Literal
 from . import arith, fpoly
 from .errors import BudgetExceeded, NotADivisor, NotIrreducible, WrongDegree, ZeroElement
 from .fpoly import FPoly
-from .gf import Element, tower_for
+from .gf import Element, tower_for, tower_mod
 from .smallfield import engine_for
 
 SEARCH_BUDGET = 10**7
@@ -78,10 +78,7 @@ def verify_pff_polynomial(f: FPoly) -> PffVerdict:
     n = f.degree
     if n < 1:
         raise WrongDegree("expected degree >= 1")
-    if not fpoly.is_irreducible(f):
-        raise NotIrreducible(f"{f} is not irreducible")
-    q = f.field.order
-    tower = tower_for(q, n, ext_modulus=f.coeffs)
+    tower = tower_mod(f)  # building F[x]/(f) is the irreducibility test
     v = pff_verdict(tower.gen_x())
     return PffVerdict(f, v.is_primitive, v.is_free, v.inverse_free, v.witnesses)
 

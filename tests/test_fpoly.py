@@ -30,6 +30,41 @@ def test_is_irreducible():
     assert fpoly.is_irreducible(poly(3, 1, 0, 1))  # x^2+1 over GF(3)
 
 
+def _gauss_count(q, d):
+    """The number of monic irreducibles of degree d over GF(q)."""
+    return sum(arith.moebius(d // k) * q**k for k in arith.divisors(d)) // d
+
+
+@pytest.mark.parametrize("q,max_d", [(2, 8), (3, 6), (4, 4), (5, 4), (8, 3), (9, 3)])
+def test_is_irreducible_matches_gauss_count(q, max_d):
+    F = field_for_order(q)
+    for d in range(1, max_d + 1):
+        count = sum(fpoly.is_irreducible(FPoly(F, cs + (1,)))
+                    for cs in itertools.product(range(q), repeat=d))
+        assert count == _gauss_count(q, d), (q, d)
+
+
+def _random_irreducibles(F, k, count, rng):
+    out = []
+    while len(out) < count:
+        f = FPoly(F, tuple(rng.randrange(F.order) for _ in range(k)) + (1,))
+        if f not in out and fpoly.is_irreducible(f):
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("q,k", [(2, 5), (2, 6), (3, 3), (4, 2), (5, 3), (8, 2), (9, 2), (13, 3)])
+def test_is_irreducible_rejects_two_halves(q, k):
+    # g * h and g^2 with deg g = deg h = n/2 have no factor of lower degree,
+    # so only the last round of Ben-Or's test sees them
+    F = field_for_order(q)
+    irreducibles = _random_irreducibles(F, k, 6, random.Random(q * k))
+    for g, h in zip(irreducibles[::2], irreducibles[1::2]):
+        assert not fpoly.is_irreducible(g * h), (g, h)
+    for g in irreducibles:
+        assert not fpoly.is_irreducible(g * g), g
+
+
 def test_factor_squarefree_roundtrip():
     F = field_for_order(4)
     f = FPoly.x_pow_n_minus_1(F, 15)
@@ -255,6 +290,32 @@ def test_min_poly():
     t34 = tower_for(3, 4)
     for e in t34.elements():
         assert 4 % min_poly(e).degree == 0
+
+
+def _ref_min_poly(x):
+    """The product of (X - c) over the distinct conjugates c of x, in E[X]."""
+    tower = x.tower
+    conjs = [x]
+    c = x.frobenius(1)
+    while c != x:
+        conjs.append(c)
+        c = c.frobenius(1)
+    poly = [tower.one_element()]
+    for c in conjs:
+        new = [tower.zero_element()] * (len(poly) + 1)
+        for i, a in enumerate(poly):
+            new[i + 1] = new[i + 1] + a
+            new[i] = new[i] - a * c
+        poly = new
+    return FPoly.make(tower.F, [a.as_base_field() for a in poly])
+
+
+@pytest.mark.parametrize("q,n", [(4, 3), (9, 2), (2, 6), (3, 4)])
+def test_min_poly_matches_the_product_of_conjugates(q, n):
+    # every element, so 0, 1 and the elements of each proper subfield too
+    t = tower_for(q, n)
+    for x in t.elements():
+        assert min_poly(x) == _ref_min_poly(x), x
 
 
 def test_reciprocal():

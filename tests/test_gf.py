@@ -277,3 +277,21 @@ def test_base_field_tables_on_a_sample_of_gf243():
         _check_base_field_pair(F, rng.randrange(243), rng.randrange(243))
     for x in range(1, 243):
         assert F._mul_raw(x, F.inv(x)) == 1
+
+
+def _ref_norm(x):
+    """x * x^q * ... * x^(q^(n-1)), by Frobenius maps and products."""
+    acc = x
+    for _ in range(x.tower.n - 1):
+        acc = acc.frobenius(1) * x
+    return acc.as_base_field()
+
+
+@pytest.mark.parametrize("q,n", [(4, 5), (9, 3), (13, 12), (2**61 - 1, 3), (7, 1), (9, 1)])
+def test_norm_is_the_product_of_conjugates(q, n):
+    t = tower_for(q, n)
+    rng = random.Random(n)
+    xs = [t.zero_element(), t.one_element(), t.gen_x()]
+    xs += [t.element([rng.randrange(q) for _ in range(n)]) for _ in range(20)]
+    for x in xs:
+        assert t.norm(x) == _ref_norm(x), x

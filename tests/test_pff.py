@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 
-from pffcert import arith, pff, witnesses
+from pffcert import arith, fpoly, pff, witnesses
 from pffcert.errors import BudgetExceeded, NotADivisor, NotIrreducible, WrongDegree, ZeroElement
 from pffcert.fpoly import FPoly, reciprocal
-from pffcert.gf import field_for_order, tower_for
+from pffcert.gf import FieldTower, base_field, field_for_order, tower_for
 from pffcert.smallfield import engine_for
 
 from conftest import poly
@@ -103,6 +104,20 @@ def test_search_examples():
     assert first[0] in (poly(2, 1, 1, 1, 0, 1, 1), poly(2, 1, 1, 0, 1, 1, 1))
 
 
+def test_verify_pff_polynomial_reads_f_over_its_own_field():
+    # over GF(2)[u]/(u^3 + u^2 + 1), x^2 + ux + 1 is reducible and x^2 + x + u
+    # irreducible; over the default GF(8) = GF(2)[u]/(u^3 + u + 1) it is the other way round
+    F = base_field(2, 3, (1, 0, 1, 1))
+    reducible, irreducible = FPoly(F, (1, 2, 1)), FPoly(F, (2, 1, 1))
+    default = field_for_order(8)
+    assert fpoly.is_irreducible(FPoly(default, reducible.coeffs))
+    assert not fpoly.is_irreducible(FPoly(default, irreducible.coeffs))
+    with pytest.raises(NotIrreducible):
+        pff.verify_pff_polynomial(reducible)
+    v = pff.verify_pff_polynomial(irreducible)
+    assert all(P is None or P.field is F for P in (v.witnesses["freeness"], v.witnesses["inverse_freeness"]))
+
+
 # search_pff(q, n, "first") beyond the engine, low to high: the minimal
 # polynomial of the PFF element gamma^e of least e coprime to q^n - 1.
 FIRST_HITS = {
@@ -121,6 +136,36 @@ def test_first_hits_are_pinned(q, n):
     (f,) = pff.search_pff(q, n, "first", budget=q**n)
     assert f.coeffs == FIRST_HITS[q, n]
     assert pff.verify_pff_polynomial(f).is_pff
+
+
+def test_first_hit_kernels_keep_their_operation_counts(monkeypatch):
+    # min_poly by Berlekamp-Massey takes at most 2n tower products and the
+    # norm, a resultant, none; a return to the conjugate products shows here
+    min_poly = fpoly.min_poly
+    seen = []
+    monkeypatch.setattr(fpoly, "min_poly", lambda x: seen.append(x) or min_poly(x))
+    (f,) = pff.search_pff(2, 40, "first", budget=2**40)
+    (alpha,) = seen
+    counts = dict.fromkeys(["multiply", "frobenius"], 0)
+
+    def counted(name):
+        method = getattr(FieldTower, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(FieldTower, name, counted(name))
+    assert min_poly(alpha) == f
+    assert counts["multiply"] <= 2 * 40 and counts["frobenius"] == 0
+    t = tower_for(13, 12)
+    rng = random.Random(12)
+    counts.update(multiply=0, frobenius=0)
+    for x in [alpha, t.element([rng.randrange(13) for _ in range(12)])]:
+        x.tower.norm(x)
+    assert counts == {"multiply": 0, "frobenius": 0}
 
 
 def test_search_budget():
