@@ -14,13 +14,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FactorTimeout, NotPrime
+from .errors import FactorTimeout, InvalidArgument, NotPrime
 
 # Miller-Rabin with the twelve prime bases 2..37 is deterministic below
-# psi_12 = 318665857834031151167461 (Sorenson and Webster 2015), which covers
-# everything below 2^64.  Above that bound is_prime adds a strong Lucas test,
-# making it the Baillie-PSW test, for which no counterexample is known; primes
-# above the bound are probable primes, and certificates say so.
+# psi_12 = 318665857834031151167461 (Sorenson and Webster 2017), which covers
+# everything below 2^64.  Nothing is trusted above that bound: is_prime
+# answers there only when a base proves n composite, and raises otherwise.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DETERMINISTIC_PRIME_BOUND = 318665857834031151167461
 
@@ -31,7 +30,12 @@ DEFAULT_EFFORT = 2_000_000
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic below DETERMINISTIC_PRIME_BOUND, BPSW above."""
+    """Proven primality: Miller-Rabin on the bases 2..37.
+
+    Deterministic below DETERMINISTIC_PRIME_BOUND.  Above it, False when a
+    base proves n composite; InvalidArgument when every base passes, since
+    that proves nothing there.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -55,62 +59,10 @@ def is_prime(n: int) -> bool:
 
     if not all(witness_passes(a) for a in _MR_BASES):
         return False
-    return n < DETERMINISTIC_PRIME_BOUND or _strong_lucas_probable_prime(n)
-
-
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas probable-prime test of odd n > 37, Selfridge's parameters.
-
-    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1, P = 1
-    and Q = (1 - D)/4.  With n + 1 = d 2^s, n passes if U_d = 0 or
-    V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
-    """
-    if math.isqrt(n) ** 2 == n:  # no D with (D/n) = -1 exists
-        return False
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:
-            return n == abs(D)
-        D = -D - 2 if D > 0 else -D + 2
-    P, Q = 1, (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-
-    def halve(x: int) -> int:
-        x %= n
-        return (x + n if x % 2 else x) // 2
-
-    # binary ladder for U_d, V_d and Q^d, from U_1 = 1, V_1 = P
-    U, V, Qk = 1, P, Q % n
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = halve(P * U + V), halve(D * U + P * V), Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
+    if n >= DETERMINISTIC_PRIME_BOUND:
+        raise InvalidArgument(f"{n} passes Miller-Rabin on bases 2..37, which proves no primality "
+                              f"at or above psi_12 = {DETERMINISTIC_PRIME_BOUND}")
+    return True
 
 
 def _pollard_brent(n: int, effort: int) -> int:
@@ -199,30 +151,14 @@ class Factorization:
         return sorted(ds)
 
 
-def _split(m: int, effort: int, fs: dict[int, int]) -> list[int]:
-    """Split m into primes, counted into fs, with Brent's rho.
-
-    Returns the composite parts that resisted `effort` rho iterations each.
-    """
-    resisted = []
-    stack = [m] if m > 1 else []
-    while stack:
-        c = stack.pop()
-        if is_prime(c):
-            fs[c] = fs.get(c, 0) + 1
-            continue
-        try:
-            d = _pollard_brent(c, effort)
-        except FactorTimeout:
-            resisted.append(c)
-            continue
-        stack += [d, c // d]
-    return resisted
-
-
 @functools.lru_cache(maxsize=None)
 def factor(n: int, effort: int = DEFAULT_EFFORT) -> Factorization:
-    """Factor n >= 1 by trial division then Pollard-rho with Brent cycles."""
+    """Factor n >= 1 by trial division then Pollard-rho with Brent cycles.
+
+    Raises FactorTimeout when rho spends `effort` iterations on a composite
+    part, and InvalidArgument (from is_prime) on a part above the
+    deterministic bound that no base proves composite.
+    """
     if n < 1:
         raise ValueError("factor() needs n >= 1")
     m = n
@@ -233,9 +169,14 @@ def factor(n: int, effort: int = DEFAULT_EFFORT) -> Factorization:
         while m % p == 0:
             fs[p] = fs.get(p, 0) + 1
             m //= p
-    resisted = _split(m, effort, fs)
-    if resisted:
-        raise FactorTimeout(f"no factor of {resisted[0]} within effort budget {effort}")
+    stack = [m] if m > 1 else []
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            fs[c] = fs.get(c, 0) + 1
+        else:
+            d = _pollard_brent(c, effort)
+            stack += [d, c // d]
     return Factorization(n, tuple(sorted(fs.items())))
 
 
@@ -256,8 +197,9 @@ def omega_bound(c: int) -> int:
 class PartialFactorization:
     """value = found.value * prod(cofactors).
 
-    Each cofactor is a composite that resisted the rho budget after trial
-    division, so it has no prime factor below TRIAL_BOUND.
+    Each cofactor is what trial division left unsplit, so it has no prime
+    factor below TRIAL_BOUND; it may be prime when no proof is at hand
+    (above DETERMINISTIC_PRIME_BOUND), but it is never a proven prime.
     """
 
     value: int
@@ -268,21 +210,12 @@ class PartialFactorization:
         if self.found.value * self.cofactor != self.value:
             raise ValueError(f"the parts multiply to {self.found.value * self.cofactor}, not {self.value}")
         for c in self.cofactors:
-            if c < TRIAL_BOUND**2 or is_prime(c):
-                raise ValueError(f"cofactor {c} is not a composite beyond the trial bound")
+            if c < TRIAL_BOUND**2 or (c < DETERMINISTIC_PRIME_BOUND and is_prime(c)):
+                raise ValueError(f"cofactor {c} is a proven prime or below {TRIAL_BOUND}^2")
 
     @property
     def cofactor(self) -> int:
         return math.prod(self.cofactors)
-
-    def split_cofactors(self, effort: int) -> "PartialFactorization":
-        """Run rho, `effort` iterations per composite, on the cofactors alone."""
-        if not self.cofactors:
-            return self
-        fs = dict(self.found.factors)
-        resisted = [r for c in self.cofactors for r in _split(c, effort, fs)]
-        found = Factorization(self.value // math.prod(resisted), tuple(sorted(fs.items())))
-        return PartialFactorization(self.value, found, tuple(sorted(resisted)))
 
 
 def cyclotomic_value(q: int, d: int) -> int:
@@ -298,22 +231,19 @@ def cyclotomic_value(q: int, d: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def factor_cyclotomic(q: int, d: int, effort: int = DEFAULT_EFFORT) -> PartialFactorization:
+def factor_cyclotomic(q: int, d: int) -> PartialFactorization:
     """Factor Phi_d(q), the d-th piece of q^n - 1 = prod over d | n of Phi_d(q).
 
     A prime p not dividing d divides Phi_d(q) only if q has order d mod p,
     so p = 1 (mod d).  After the primes of d are stripped, trial division
     tries only such candidates below TRIAL_BOUND (odd ones for d > 2); one
     that divides what is left is prime, since its own prime factors are
-    smaller candidates and were stripped before it.  Brent's rho splits the
-    rest, `effort` iterations per composite; a part that resists is kept as a
-    cofactor rather than failing the piece.  Effort 0 runs no rho; a higher
-    effort reuses the cached effort-0 result and runs rho on its cofactors.
+    smaller candidates and were stripped before it.  What is left after that
+    is a proven prime if it lies below DETERMINISTIC_PRIME_BOUND and is_prime
+    says so, and is kept as a cofactor otherwise.  No rho runs.
     """
     if q < 2 or d < 1:
         raise ValueError("factor_cyclotomic() needs q >= 2 and d >= 1")
-    if effort > 0:
-        return factor_cyclotomic(q, d, 0).split_cofactors(effort)
     value = cyclotomic_value(q, d)
     m = value
     fs: dict[int, int] = {}
@@ -331,9 +261,10 @@ def factor_cyclotomic(q: int, d: int, effort: int = DEFAULT_EFFORT) -> PartialFa
             fs[p] = fs.get(p, 0) + 1
             m //= p
         p += step
-    resisted = _split(m, 0, fs)
-    found = Factorization(value // math.prod(resisted), tuple(sorted(fs.items())))
-    return PartialFactorization(value, found, tuple(sorted(resisted)))
+    if 1 < m < DETERMINISTIC_PRIME_BOUND and is_prime(m):
+        fs[m], m = 1, 1
+    found = Factorization(value // m, tuple(sorted(fs.items())))
+    return PartialFactorization(value, found, (m,) if m > 1 else ())
 
 
 def prime_power(q: int) -> tuple[int, int]:

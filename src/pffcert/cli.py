@@ -12,7 +12,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import arith, charsum, pff, verify
+from . import charsum, pff, verify
 from .errors import BudgetExceeded, PffcertError
 from .fpoly import FPoly
 from .gf import field_for_order
@@ -56,12 +56,9 @@ def _budgets(args) -> dict:
 
 def cmd_certify(args) -> int:
     t0 = time.time()
-    cfg = CertifyConfig(search_budget=args.budget, factor_effort=args.factor_effort)
-    cert = certify(args.q, args.n, cfg)
-    # only certify factors with rho, so only it reports the effort ceiling
-    budgets = {**_budgets(args), "factor_effort": args.factor_effort}
+    cert = certify(args.q, args.n, CertifyConfig(search_budget=args.budget))
     report = RunReport("certify", {"q": args.q, "n": args.n},
-                       cert.to_json_dict(), time.time() - t0, budgets)
+                       cert.to_json_dict(), time.time() - t0, _budgets(args))
     lines = [f"({args.q},{args.n}): {cert.status}  method={cert.method}"]
     for key, val in cert.numerics.items():
         lines.append(f"  {key} = {val}")
@@ -168,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=pff.SEARCH_BUDGET,
                         help="cap on q^n for searches; --all/--count are further "
                              f"capped at the engine limit of {ENGINE_LIMIT} elements")
-    parser.add_argument("--factor-effort", type=int, default=arith.DEFAULT_EFFORT,
-                        help="ceiling on the Pollard-rho iterations per composite "
-                             "cofactor of each piece Phi_d(q) of q^n - 1; certify runs rho "
-                             "only once every bound has failed on trial division alone, and "
-                             "a cofactor that outlasts it is bounded, not fatal")
     parser.add_argument("--out", type=str, default=None, help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 

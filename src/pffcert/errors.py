@@ -6,7 +6,9 @@ class PffcertError(Exception):
 
 
 class FactorTimeout(PffcertError):
-    """A cofactor resisted the configured factoring effort budget."""
+    """A number was not factored: Pollard rho ran out of its effort budget on
+    a composite, or trial division left a cofactor where exact primes were
+    asked for."""
 
 
 class NotPrime(PffcertError):

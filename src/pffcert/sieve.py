@@ -11,6 +11,10 @@ a polynomial; only the exception-list, witness and search stages of
 Bound verdicts are computed on exact rationals: a criterion q^(n/2) > B
 with rational B is decided by comparing q^n against B^2, so no verdict
 ever rests on floating point.  Floats appear only in reported R values.
+The primes of Q they count come from trial division below
+arith.TRIAL_BOUND and deterministic Miller-Rabin below
+arith.DETERMINISTIC_PRIME_BOUND; whatever is left is a cofactor whose
+number of primes is bounded, so no verdict rests on a probable prime.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ class QData:
     companion quantities of the reduction identity: R is the greatest
     divisor of q^n - 1 coprime to Q and Q* = (q^n - 1)/R.
 
-    The quotient is `found` times the composite `cofactors` that resisted
-    factoring (see arith.PartialFactorization), so Q has the primes `primes`
+    The quotient is `found` times the `cofactors` that trial division left
+    unsplit (see arith.PartialFactorization), so Q has the primes `primes`
     and at most `cofactor_omega` more.  `quotient`, `radical` and `Q` are
     exact only without cofactors and raise FactorTimeout otherwise; R and Q*
     are always exact.
@@ -79,8 +83,8 @@ class QData:
         """The unreduced quotient, as the tables print it."""
         if self.cofactors:
             raise FactorTimeout(
-                f"Q({self.q}, {self.n}) keeps a composite cofactor of "
-                f"{self.cofactor.bit_length()} bits that resisted factoring"
+                f"Q({self.q}, {self.n}) keeps a cofactor of "
+                f"{self.cofactor.bit_length()} bits that trial division left unsplit"
             )
         return self.found
 
@@ -94,15 +98,15 @@ class QData:
         return self.radical.value
 
 
-def compute_Q(q: int, n: int, effort: int = arith.DEFAULT_EFFORT) -> QData:
+def compute_Q(q: int, n: int) -> QData:
     """Q(q, n) from the pieces Phi_d(q), d | n, of q^n - 1 = prod Phi_d(q).
 
     The quotient is the product of the pieces with d > 1 divided by
     gcd(n, q - 1); the piece Phi_1(q) = q - 1 only enters R.  A cofactor
     has no prime below arith.TRIAL_BOUND > n, and such a prime divides at
     most one piece (a prime in Phi_d(q) and Phi_d'(q), d < d', divides
-    d'), so Phi_1(q)'s cofactor lies in R and the others in Q.  `effort`
-    caps the rho iterations per composite; 0 stops after trial division.
+    d'), so Phi_1(q)'s cofactor lies in R and the others in Q.  Each piece
+    is factored by arith.factor_cyclotomic, which runs no rho.
     """
     if n >= arith.TRIAL_BOUND:
         raise InvalidArgument(f"n = {n} is not below the trial bound {arith.TRIAL_BOUND}")
@@ -113,7 +117,7 @@ def compute_Q(q: int, n: int, effort: int = arith.DEFAULT_EFFORT) -> QData:
     cofactors: list[int] = []
     R = 1
     for d in arith.divisors(n):
-        piece = arith.factor_cyclotomic(q, d, effort)
+        piece = arith.factor_cyclotomic(q, d)
         for p, e in piece.found.factors:
             in_N[p] = in_N.get(p, 0) + e
             if d > 1:
@@ -176,7 +180,7 @@ class SieveDecomposition:
     """A (k0, r) decomposition: a common core plus r single-atom extensions.
 
     `core_omega` is an upper bound on the number of primes of the core
-    modulus, for cores with more primes than core_m0 shows (a resistant
+    modulus, for cores with more primes than core_m0 shows (an unsplit
     cofactor's primes sit in the core but not in core_m0); None means
     omega(core_m0).
     """
@@ -250,7 +254,7 @@ class Partition:
     """Split of the primes of Q into a core (product m0) and sieving primes.
 
     `unknown` bounds the core primes that are not listed: those of a
-    cofactor that resisted factoring.  Only proven primes ever sieve.
+    cofactor that trial division left unsplit.  Only proven primes ever sieve.
     """
 
     core: tuple[int, ...]
@@ -317,7 +321,7 @@ def key_ineq(
     the degree profile of (q, n).
 
     Additive-only when the sieving prime set is empty.  With W(Q), or its
-    upper bound where a cofactor resisted factoring (the bound increases
+    upper bound where a cofactor is left unsplit (the bound increases
     with u, so an upper bound on u keeps a pass sound), and exact W(g);
     `refined` replaces the true sieved degree n* - m by n* - rho n.
     The partition must cover every prime of Q(q, n), given as `qdata` or
@@ -504,25 +508,18 @@ class Certificate:
 @dataclass(frozen=True)
 class CertifyConfig:
     search_budget: int = pff.SEARCH_BUDGET
-    factor_effort: int = arith.DEFAULT_EFFORT
     use_witness_table: bool = True
 
 
-def _factoring_evidence(qdata: QData, effort: int) -> tuple[dict, tuple[str, ...]]:
+def _factoring_evidence(qdata: QData) -> tuple[dict, tuple[str, ...]]:
     """Numerics and notes for what a bound certificate assumes about Q."""
-    numerics: dict = {"factor_effort": effort}
-    notes: list[str] = []
-    if qdata.cofactors:
-        bits, B, k = qdata.cofactor.bit_length(), arith.TRIAL_BOUND, qdata.cofactor_omega
-        numerics.update(cofactor_bits=bits, trial_bound=B, cofactor_omega_bound=k)
-        notes.append(f"a {bits}-bit composite part of Q was not split at rho effort {effort}; "
-                     f"it has no prime below {B}, so at most {k} primes, all counted in the core")
-    probable = [p for p in qdata.primes if p >= arith.DETERMINISTIC_PRIME_BOUND]
-    if probable:
-        numerics["probable_primes"] = probable
-        notes.append(f"the primes of Q above {arith.DETERMINISTIC_PRIME_BOUND} (probable_primes) "
-                     "passed the BPSW test but are not proven prime")
-    return numerics, tuple(notes)
+    if not qdata.cofactors:
+        return {}, ()
+    bits, B, k = qdata.cofactor.bit_length(), arith.TRIAL_BOUND, qdata.cofactor_omega
+    numerics = {"cofactor_bits": bits, "trial_bound": B, "cofactor_omega_bound": k}
+    note = (f"trial division left a part of Q of {bits} bits unsplit; "
+            f"it has no prime below {B}, so at most {k} primes, all counted in the core")
+    return numerics, (note,)
 
 
 def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
@@ -532,19 +529,15 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
     criterion; the sieve decompositions of `bound_candidates`, in order,
     each scored by `eval_decomposition`; finally a known witness polynomial
     or direct search.  The bounds read only integers: the degree profile of
-    the reduction target and Q from trial division, with no rho.  A cofactor
-    of q^n - 1 left unsplit costs no verdict: the bounds use an upper bound
-    on its number of primes.  Only when every bound fails while a cofactor
-    is left does rho run on the cofactors, up to `factor_effort` iterations
-    each, before the bounds are scored again.  UNDECIDED is only reachable
-    with tiny budgets.
+    the reduction target and Q from trial division (`compute_Q`), with no
+    rho.  A cofactor of q^n - 1 left unsplit costs no verdict: the bounds
+    use an upper bound on its number of primes.  UNDECIDED is only
+    reachable with tiny budgets.
     """
     cfg = config or CertifyConfig()
     arith.prime_power(q)  # NotPrime unless q is a prime power
     if n < 1:
         raise InvalidArgument(f"n = {n} is not a positive extension degree")
-    if cfg.factor_effort < 0:
-        raise InvalidArgument(f"factor effort {cfg.factor_effort} is negative")
 
     if n <= 2:
         return Certificate(q, n, "PFF", "trivial-n<=2",
@@ -564,25 +557,22 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
         )
 
     profile = fpoly.degree_profile(q, n)
-    for effort in sorted({0, cfg.factor_effort}):
-        qdata = compute_Q(q, n, effort)
-        for method, d in bound_candidates(q, n, qdata, profile):
-            if d.delta <= 0:
-                continue
-            res = eval_decomposition(q, n, d)
-            if res.passes:
-                numerics = {
-                    "delta": res.delta, "Delta": res.Delta, "W_core": res.W_core,
-                    "u": d.u, "t": d.t, "core_m0": d.core_m0,
-                    "core_degrees": [f.degree for f in d.core_f0],
-                    "atoms": list(d.atoms),
-                    "rhs": res.rhs, "R": _R_value(res.rhs, n), "margin": res.margin,
-                }
-                q_numerics, q_notes = _factoring_evidence(qdata, effort)
-                return Certificate(q, n, "PFF", method, numerics=dict(numerics, **q_numerics),
-                                   notes=q_notes)
-        if not qdata.cofactors:
-            break
+    qdata = compute_Q(q, n)
+    for method, d in bound_candidates(q, n, qdata, profile):
+        if d.delta <= 0:
+            continue
+        res = eval_decomposition(q, n, d)
+        if res.passes:
+            numerics = {
+                "delta": res.delta, "Delta": res.Delta, "W_core": res.W_core,
+                "u": d.u, "t": d.t, "core_m0": d.core_m0,
+                "core_degrees": [f.degree for f in d.core_f0],
+                "atoms": list(d.atoms),
+                "rhs": res.rhs, "R": _R_value(res.rhs, n), "margin": res.margin,
+            }
+            q_numerics, q_notes = _factoring_evidence(qdata)
+            return Certificate(q, n, "PFF", method, numerics=dict(numerics, **q_numerics),
+                               notes=q_notes)
 
     # known witness polynomial, then direct search
     if cfg.use_witness_table:

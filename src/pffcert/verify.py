@@ -41,6 +41,11 @@ def _round_up(x: float, places: int) -> float:
     return math.ceil(x * 10**places - 1e-12) / 10**places
 
 
+# tolerance for delta and Delta against values printed to three decimals,
+# compared exactly: a printed value p stands for Fraction(str(p))
+_PRINTED = Fraction(1, 1000)
+
+
 # ---------------------------------------------------------------------------
 # R tables
 # ---------------------------------------------------------------------------
@@ -85,7 +90,7 @@ def check_r_table_row(row: goldens.RTableRow) -> CheckResult:
         value_ok = _round_up(res.R, 2) == row.R
     if not value_ok:
         mismatched.append("R")
-    if row.delta_printed is not None and abs(float(delta) - row.delta_printed) > 0.001:
+    if row.delta_printed is not None and abs(delta - Fraction(str(row.delta_printed))) > _PRINTED:
         mismatched.append("delta")
 
     if tuple(mismatched) != tuple(row.mismatched):
@@ -120,11 +125,11 @@ def check_decomposition_golden(g: goldens.DecompositionGolden) -> CheckResult:
     name = f"decomposition({g.q},{g.n})"
     d = _decomposition_from_golden(g)
     res = eval_decomposition(g.q, g.n, d)
-    delta = float(res.delta)
+    published = Fraction(str(g.delta_published))
     problems = []
-    if not (abs(delta - g.delta_published) <= 0.001 and delta >= g.delta_published - 1e-12):
-        problems.append(f"delta {delta:.6f} vs published {g.delta_published}")
-    if abs(float(res.Delta) - g.Delta_frozen) > 0.001:
+    if not (abs(res.delta - published) <= _PRINTED and res.delta >= published):
+        problems.append(f"delta {float(res.delta):.6f} vs published {g.delta_published}")
+    if abs(res.Delta - Fraction(str(g.Delta_frozen))) > _PRINTED:
         problems.append(f"Delta {float(res.Delta):.4f} vs {g.Delta_frozen}")
     if res.W_core != g.W_core:
         problems.append(f"W_core {res.W_core} vs {g.W_core}")
@@ -134,7 +139,7 @@ def check_decomposition_golden(g: goldens.DecompositionGolden) -> CheckResult:
     if not res.passes:
         problems.append("criterion unexpectedly fails")
     return CheckResult("rvalues", name, not problems,
-                       "; ".join(problems) or f"delta={delta:.4f} criterion={crit:.4f}")
+                       "; ".join(problems) or f"delta={float(res.delta):.4f} criterion={crit:.4f}")
 
 
 def check_sieved_r_golden(entry) -> CheckResult:

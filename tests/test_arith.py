@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pffcert import arith
 from pffcert.arith import Factorization, c_bound, check_primorial_bound, factor
-from pffcert.errors import FactorTimeout, NotPrime
+from pffcert.errors import FactorTimeout, InvalidArgument, NotPrime
 
 
 def test_factor_known_values():
@@ -53,30 +53,15 @@ def test_factorization_invariant_survives_optimize():
     assert out.stdout.split() == ["ValueError", "NotPrime"], out.stderr
 
 
-# strong Lucas pseudoprimes below 10^5 with Selfridge's parameters (OEIS A217255)
-STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
-
-
-def test_strong_lucas_test_matches_known_pseudoprimes():
-    limit = 10**5
-    sieve = bytearray([1]) * limit
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    passing = [n for n in range(39, limit, 2) if arith._strong_lucas_probable_prime(n)]
-    composites = [n for n in passing if not sieve[n] and math.gcd(n, 3 * 5 * 7) == 1]
-    assert composites == STRONG_LUCAS_PSEUDOPRIMES
-    assert all(n in passing for n in range(39, limit, 2) if sieve[n])
-
-
 def test_is_prime_above_the_deterministic_bound():
-    # psi_12 and psi_13 are strong pseudoprimes to all twelve bases 2..37
+    # psi_12 and psi_13 are strong pseudoprimes to all twelve bases 2..37:
+    # from the bound on, passing every base proves nothing, so is_prime raises
     psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
     assert psi_12 == arith.DETERMINISTIC_PRIME_BOUND
-    assert not arith.is_prime(psi_12) and not arith.is_prime(psi_13)
-    assert arith.is_prime(2**89 - 1) and arith.is_prime(2**127 - 1)
-    assert arith.is_prime(4805345109492315767981401)
+    for n in (psi_12, psi_13, 2**89 - 1, 2**127 - 1, 4805345109492315767981401):
+        with pytest.raises(InvalidArgument, match="psi_12"):
+            arith.is_prime(n)
+    # a base that proves compositeness is trusted at any size
     assert not arith.is_prime((2**61 - 1) * (2**89 - 1))
     assert not arith.is_prime((2**89 - 1) ** 2)
 
@@ -94,30 +79,45 @@ ACCEPTANCE_GRID = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13) for n in range(
 
 
 def test_factor_cyclotomic_pieces_on_acceptance_grid():
+    with_cofactor = set()
     for q, n in ACCEPTANCE_GRID:
         exps: dict[int, int] = {}
         for d in arith.divisors(n):
             piece = arith.factor_cyclotomic(q, d)
-            assert piece.cofactors == () and piece.value == arith.cyclotomic_value(q, d)
+            assert piece.found.value * piece.cofactor == piece.value == arith.cyclotomic_value(q, d)
             for p, e in piece.found.factors:
                 assert d % p == 0 or (p - 1) % d == 0, (q, d, p)
                 exps[p] = exps.get(p, 0) + e
+            if piece.cofactors:
+                # rho, run here and not by factor_cyclotomic, splits what trial division left
+                with_cofactor.add((q, n))
+                c = factor(piece.cofactor)
+                assert all(p >= arith.TRIAL_BOUND and (p - 1) % d == 0 for p in c.primes), (q, d)
+                assert c.omega <= arith.omega_bound(piece.cofactor), (q, d)
+                for p, e in c.factors:
+                    exps[p] = exps.get(p, 0) + e
         assert tuple(sorted(exps.items())) == factor(q**n - 1).factors, (q, n)
+    # each keeps a 65-67-bit product of two primes
+    assert with_cofactor == {(9, 23), (11, 23), (13, 19)}
 
 
 def test_factor_cyclotomic_keeps_a_resistant_cofactor():
-    # Phi_35(7) has two primes above 10^6 that 100 rho iterations cannot split
-    piece = arith.factor_cyclotomic(7, 35, 100)
+    # Phi_35(7) has two primes above 10^6, whose product trial division leaves whole
+    piece = arith.factor_cyclotomic(7, 35)
     assert len(piece.cofactors) == 1
     c = piece.cofactor
     assert piece.found.value * c == piece.value == arith.cyclotomic_value(7, 35)
     assert math.gcd(c, piece.found.value) == 1
     full = factor(c)
     assert all(p >= arith.TRIAL_BOUND and (p - 1) % 35 == 0 for p in full.primes)
-    assert 2 <= full.omega <= arith.omega_bound(c)
-    assert arith.factor_cyclotomic(7, 35).cofactors == ()
+    assert c.bit_length() == 68 and 2 == full.omega <= arith.omega_bound(c) == 3
     with pytest.raises(ValueError):
         arith.PartialFactorization(piece.value, piece.found, (c + 1,))
+    # a proven prime is never a cofactor: Phi_19(13) keeps 12865927 * 9468940004449
+    piece, p = arith.factor_cyclotomic(13, 19), 9468940004449
+    assert p > arith.TRIAL_BOUND**2 and piece.cofactor % p == 0
+    with pytest.raises(ValueError, match="proven prime"):
+        arith.PartialFactorization(piece.value, arith.factor(piece.value // p), (p,))
 
 
 def test_factor_raises_when_rho_runs_out_of_effort():

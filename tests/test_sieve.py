@@ -439,11 +439,10 @@ def test_no_bound_passes_for_exceptional_pairs():
 
 def test_bound_certificates_carry_the_exact_key_inequality():
     # the certificate's rhs = 2 W(core) Delta is key_ineq's exact braced value
-    for q, n, effort in [(5, 9, arith.DEFAULT_EFFORT), (7, 35, 100), (7, 37, arith.DEFAULT_EFFORT),
-                         (13, 8, arith.DEFAULT_EFFORT)]:
-        cert = certify(q, n, CertifyConfig(factor_effort=effort))
+    for q, n in [(5, 9), (7, 35), (7, 37), (13, 8)]:
+        cert = certify(q, n)
         assert cert.method == ("keyineq-full" if (q, n) == (13, 8) else "keyineq-additive")
-        qd = compute_Q(q, n, cert.numerics["factor_effort"])
+        qd = compute_Q(q, n)
         profile = fpoly.degree_profile(q, n)
         sieving = tuple(a.value for a in cert.numerics["atoms"] if a.kind == "prime")
         part = Partition(tuple(p for p in qd.primes if p not in sieving), sieving, qd.cofactor_omega)
@@ -469,7 +468,7 @@ def test_key_inequality_candidates_equal_key_ineq_on_the_acceptance_grid():
             if not method.startswith("keyineq"):
                 continue
             part = Partition(tuple(p for p in qd.primes if SieveAtom.prime(p) not in d.atoms),
-                             tuple(a.value for a in d.atoms if a.kind == "prime"))
+                             tuple(a.value for a in d.atoms if a.kind == "prime"), qd.cofactor_omega)
             try:
                 exact = key_ineq(q, n, profile, part, refined=False, qdata=qd)
             except DenominatorNonPositive:
@@ -493,10 +492,27 @@ def _compute_Q_by_three_factorizations(q, n):
 
 
 def test_compute_Q_matches_whole_number_factoring():
+    with_cofactor = set()
     for q, n in ACCEPTANCE_GRID:
         qd = compute_Q(q, n)
-        assert qd.cofactors == ()
-        assert (qd.quotient, qd.radical, qd.Q_star, qd.R) == _compute_Q_by_three_factorizations(q, n)
+        quotient, rad, Q_star, R = _compute_Q_by_three_factorizations(q, n)
+        assert (qd.Q_star, qd.R) == (Q_star, R), (q, n)
+        if not qd.cofactors:
+            assert (qd.quotient, qd.radical) == (quotient, rad), (q, n)
+            continue
+        with_cofactor.add((q, n))
+        assert qd.found.value * qd.cofactor == quotient.value
+        # rho, run here and not by compute_Q, splits what trial division left
+        for c in qd.cofactors:
+            d = next(d for d in arith.divisors(n) if c in arith.factor_cyclotomic(q, d).cofactors)
+            primes = arith.factor(c).primes
+            assert all(p >= arith.TRIAL_BOUND and (p - 1) % d == 0 for p in primes), (q, n)
+            assert len(primes) <= arith.omega_bound(c), (q, n)
+        exps = dict(qd.found.factors)
+        for p, e in arith.factor(qd.cofactor).factors:
+            exps[p] = exps.get(p, 0) + e
+        assert tuple(sorted(exps.items())) == quotient.factors, (q, n)
+    assert with_cofactor == {(9, 23), (11, 23), (13, 19)}
 
 
 def test_pairs_share_cyclotomic_pieces():
@@ -507,12 +523,11 @@ def test_pairs_share_cyclotomic_pieces():
 
 
 def test_resistant_cofactor_is_bounded_not_fatal():
-    # at 100 rho iterations Phi_35(7) keeps a 68-bit composite cofactor
-    cfg = CertifyConfig(factor_effort=100)
+    # after trial division Phi_35(7) keeps a 68-bit cofactor
     t0 = time.perf_counter()
-    cert = certify(7, 35, cfg)
+    cert = certify(7, 35)
     assert time.perf_counter() - t0 < 1.0
-    qd = compute_Q(7, 35, 100)
+    qd = compute_Q(7, 35)
     assert qd.cofactor.bit_length() == 68 and qd.cofactor_omega == 3
     assert (cert.status, cert.method) == ("PFF", "keyineq-additive")
     assert cert.numerics["cofactor_bits"] == 68
@@ -520,15 +535,15 @@ def test_resistant_cofactor_is_bounded_not_fatal():
     assert cert.numerics["cofactor_omega_bound"] == 3
     assert cert.numerics["u"] == len(qd.primes) + 3
     assert any("at most 3 primes" in note for note in cert.notes)
-    # the bound covers the primes the cofactor really has
-    exact = compute_Q(7, 35)
-    assert set(qd.primes) < set(exact.primes)
-    assert exact.radical.omega <= qd.omega_bound
-    assert (qd.Q_star, qd.R) == (exact.Q_star, exact.R)
+    # the bound covers the primes the cofactor really has, as rho finds them
+    _, rad, Q_star, R = _compute_Q_by_three_factorizations(7, 35)
+    assert set(qd.primes) < set(rad.primes)
+    assert rad.omega <= qd.omega_bound
+    assert (qd.Q_star, qd.R) == (Q_star, R)
 
 
 def test_qdata_with_cofactor_is_exact_only_where_it_can_be():
-    qd = compute_Q(7, 35, 100)
+    qd = compute_Q(7, 35)
     N = 7**35 - 1
     assert qd.found.value * qd.cofactor == N // (6 * math.gcd(35, 6))
     assert qd.Q_star * qd.R == N
@@ -546,11 +561,15 @@ def test_qdata_with_cofactor_is_exact_only_where_it_can_be():
 
 
 def test_probable_primes_are_listed():
+    # Phi_37(7) keeps the 82-bit prime 4805345109492315767981401, which no
+    # deterministic test reaches: it counts through the omega bound instead
     cert = certify(7, 37)
     assert cert.method == "keyineq-additive"
-    assert cert.numerics["probable_primes"] == [4805345109492315767981401]
-    assert any("BPSW" in note for note in cert.notes)
-    assert "probable_primes" not in certify(5, 9).numerics
+    assert cert.numerics["cofactor_bits"] == 82
+    assert cert.numerics["cofactor_omega_bound"] == 4
+    assert cert.numerics["u"] == 6
+    assert "probable_primes" not in cert.numerics
+    assert compute_Q(7, 37).cofactors == (4805345109492315767981401,)
 
 
 def test_certify_rejects_invalid_input():
@@ -568,11 +587,6 @@ def test_compute_Q_rejects_n_past_the_trial_bound():
         compute_Q(2, arith.TRIAL_BOUND)
 
 
-def test_certify_rejects_a_negative_factor_effort():
-    with pytest.raises(InvalidArgument):
-        certify(7, 35, CertifyConfig(factor_effort=-1))
-
-
 def test_bound_candidates_yield_each_decomposition_once():
     qd, profile = compute_Q(2, 21), fpoly.degree_profile(2, 21)
     keys = [(len(d.core_f0), d.core_m0, d.atoms) for _, d in bound_candidates(2, 21, qd, profile)]
@@ -587,7 +601,6 @@ def test_bound_atoms_are_labelled_cyclotomic_factors():
     # x^9 - 1 over GF(5): Phi_1 and Phi_3 split into degree-1 and degree-2 factors, Phi_9 stays
     assert [str(a) for a in cert.numerics["atoms"]] == ["poly-x:Phi_9#1", "poly-y:Phi_9#1"]
     assert cert.numerics["core_degrees"] == [1, 2]
-    assert cert.numerics["factor_effort"] == 0
 
 
 def test_bound_stages_factor_no_polynomial_and_build_no_field(monkeypatch):
@@ -606,35 +619,6 @@ def test_bound_stages_factor_no_polynomial_and_build_no_field(monkeypatch):
     for q, n in [(125, 22), (121, 40), (128, 30), (81, 33), (64, 36)]:
         cert = certify(q, n)
         assert (cert.status, cert.method) == ("PFF", "keyineq-additive"), (q, n)
-
-
-def test_rho_runs_only_on_cofactors_once_every_bound_fails(monkeypatch):
-    import functools
-
-    # a fresh piece cache, and a record of every rho call as (number, effort)
-    monkeypatch.setattr(arith, "factor_cyclotomic",
-                        functools.lru_cache(maxsize=None)(arith.factor_cyclotomic.__wrapped__))
-    calls = []
-    split = arith._split
-
-    def spy(m, effort, fs):
-        calls.append((m, effort))
-        return split(m, effort, fs)
-
-    monkeypatch.setattr(arith, "_split", spy)
-    # the cofactor of Phi_35(7) costs omega_bound primes: make that fail every bound
-    monkeypatch.setattr(arith, "omega_bound", lambda c: 1000)
-    cert = certify(7, 35)
-    assert (cert.status, cert.method) == ("PFF", "keyineq-additive")
-    assert cert.numerics["factor_effort"] == arith.DEFAULT_EFFORT
-    assert "cofactor_bits" not in cert.numerics
-    # trial division ran once per piece; rho ran on the one cofactor it left
-    cofactor = 164222454513131834401  # 2127431041 * 77192844961
-    assert [m for m, e in calls if e > 0] == [cofactor]
-    assert len([m for m, e in calls if e == 0]) == len(arith.divisors(35))
-    # with a ceiling rho cannot split it under, the pair stays open
-    cert = certify(7, 35, CertifyConfig(factor_effort=100))
-    assert cert.status == "UNDECIDED"
 
 
 def test_certify_finds_the_exceptional_pairs_by_search_without_the_list(monkeypatch):
