@@ -27,6 +27,7 @@ from .errors import (
     NotIrreducible,
     NotPrime,
     PffcertError,
+    UnsplitCofactor,
     WrongDegree,
     ZeroElement,
 )

@@ -26,7 +26,8 @@ DETERMINISTIC_PRIME_BOUND = 318665857834031151167461
 # Trial division covers every candidate below TRIAL_BOUND, so a cofactor left
 # after it has no prime factor below TRIAL_BOUND.
 TRIAL_BOUND = 10**6
-DEFAULT_EFFORT = 2_000_000
+# The iterations Pollard rho may spend on one composite part in `factor`.
+RHO_EFFORT = 2_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -152,10 +153,10 @@ class Factorization:
 
 
 @functools.lru_cache(maxsize=None)
-def factor(n: int, effort: int = DEFAULT_EFFORT) -> Factorization:
+def factor(n: int) -> Factorization:
     """Factor n >= 1 by trial division then Pollard-rho with Brent cycles.
 
-    Raises FactorTimeout when rho spends `effort` iterations on a composite
+    Raises FactorTimeout when rho spends RHO_EFFORT iterations on a composite
     part, and InvalidArgument (from is_prime) on a part above the
     deterministic bound that no base proves composite.
     """
@@ -175,7 +176,7 @@ def factor(n: int, effort: int = DEFAULT_EFFORT) -> Factorization:
         if is_prime(c):
             fs[c] = fs.get(c, 0) + 1
         else:
-            d = _pollard_brent(c, effort)
+            d = _pollard_brent(c, RHO_EFFORT)
             stack += [d, c // d]
     return Factorization(n, tuple(sorted(fs.items())))
 
@@ -195,27 +196,24 @@ def omega_bound(c: int) -> int:
 
 @dataclass(frozen=True)
 class PartialFactorization:
-    """value = found.value * prod(cofactors).
+    """value = found.value * cofactor.
 
-    Each cofactor is what trial division left unsplit, so it has no prime
-    factor below TRIAL_BOUND; it may be prime when no proof is at hand
-    (above DETERMINISTIC_PRIME_BOUND), but it is never a proven prime.
+    The cofactor is what trial division left unsplit, 1 when nothing is, so
+    it has no prime factor below TRIAL_BOUND; it may be prime when no proof
+    is at hand (above DETERMINISTIC_PRIME_BOUND), but it is never a proven
+    prime.
     """
 
     value: int
     found: Factorization
-    cofactors: tuple[int, ...] = ()
+    cofactor: int = 1
 
     def __post_init__(self) -> None:
-        if self.found.value * self.cofactor != self.value:
-            raise ValueError(f"the parts multiply to {self.found.value * self.cofactor}, not {self.value}")
-        for c in self.cofactors:
-            if c < TRIAL_BOUND**2 or (c < DETERMINISTIC_PRIME_BOUND and is_prime(c)):
-                raise ValueError(f"cofactor {c} is a proven prime or below {TRIAL_BOUND}^2")
-
-    @property
-    def cofactor(self) -> int:
-        return math.prod(self.cofactors)
+        c = self.cofactor
+        if self.found.value * c != self.value:
+            raise ValueError(f"the parts multiply to {self.found.value * c}, not {self.value}")
+        if c > 1 and (c < TRIAL_BOUND**2 or (c < DETERMINISTIC_PRIME_BOUND and is_prime(c))):
+            raise ValueError(f"cofactor {c} is a proven prime or below {TRIAL_BOUND}^2")
 
 
 def cyclotomic_value(q: int, d: int) -> int:
@@ -264,7 +262,7 @@ def factor_cyclotomic(q: int, d: int) -> PartialFactorization:
     if 1 < m < DETERMINISTIC_PRIME_BOUND and is_prime(m):
         fs[m], m = 1, 1
     found = Factorization(value // m, tuple(sorted(fs.items())))
-    return PartialFactorization(value, found, (m,) if m > 1 else ())
+    return PartialFactorization(value, found, m)
 
 
 def prime_power(q: int) -> tuple[int, int]:

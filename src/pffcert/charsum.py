@@ -189,19 +189,13 @@ def _f_order_table(q: int, n: int) -> tuple[tuple[FPoly, ...], np.ndarray]:
     size = engine.size
     order_of = np.full(size, -1, dtype=np.int64)
     # triviality of w -> AbsTr(delta D^sigma(w)) is only GF(p)-linear in w,
-    # so it must be checked on a full GF(p)-basis of E
-    basis = [
-        tower.element([0] * i + [tower.p**j])
-        for i in range(tower.n)
-        for j in range(tower.a)
-    ]
-    from .fpoly import sigma_eval
-
-    for di, D in enumerate(divisors):
+    # so it must be checked on a full GF(p)-basis of E: the identity rows,
+    # whose images under every divisor come from one call of the sigma kernel
+    images = tower.sigma_images(np.eye(tower.n * tower.a, dtype=np.int64), divisors)
+    for di in range(len(divisors)):
         # delta qualifies iff AbsTr(delta * D^sigma(e_i)) = 0 for every basis e_i
         mask = np.ones(size, dtype=bool)
-        for b in basis:
-            v = sigma_eval(D, b)
+        for v in tower.elements_of_digits(images[:, di]):
             vi = engine.index_of(v)
             if vi == 0:
                 continue

@@ -7,8 +7,12 @@ class PffcertError(Exception):
 
 class FactorTimeout(PffcertError):
     """A number was not factored: Pollard rho ran out of its effort budget on
-    a composite, or trial division left a cofactor where exact primes were
-    asked for."""
+    a composite."""
+
+
+class UnsplitCofactor(PffcertError):
+    """Every prime of a number was asked for, but trial division left a
+    cofactor of it unsplit."""
 
 
 class NotPrime(PffcertError):

@@ -2,10 +2,11 @@
 
 Polynomials are immutable coefficient tuples, least significant first, with
 coefficients in the int encoding of their field (see gf.py).  The module
-also hosts the additive-order machinery for extension elements: evaluation
-of h^sigma (x^i replaced by the i-th Frobenius power), F-orders, freeness
-tests and minimal polynomials.  Extension elements are duck-typed here to
-keep the import graph acyclic; gf.py provides the concrete Element.
+also hosts the additive-order machinery for extension elements: F-orders,
+freeness tests and minimal polynomials.  Each h^sigma (x^i replaced by the
+i-th Frobenius power) is evaluated by the tower's Frobenius-matrix kernel,
+`FieldTower.sigma_images`.  Extension elements are duck-typed here to keep
+the import graph acyclic; gf.py provides the concrete Element.
 """
 
 from __future__ import annotations
@@ -414,23 +415,10 @@ def degree_profile(q: int, n: int) -> DegreeProfile:
 # ---------------------------------------------------------------------------
 
 
-def conjugates(x: "Element", k: int) -> list["Element"]:
-    """[x, x^q, ..., x^(q^(k-1))]."""
-    out = [x]
-    while len(out) < k:
-        out.append(out[-1].frobenius(1))
-    return out
-
-
-def sigma_eval(h: FPoly, x: "Element", conjs: list["Element"] | None = None) -> "Element":
-    """h^sigma(x) = sum h_i * x^(q^i): the linearized action of h on x.
-
-    `conjs`, when given, is `conjugates(x, k)` for some k > deg h, so that a
-    caller evaluating many h on one x computes the conjugates once.
-    """
-    if conjs is None:
-        conjs = conjugates(x, len(h.coeffs))
-    return x.tower.combine(h.coeffs, [c.coeffs for c in conjs])
+def sigma_eval(h: FPoly, x: "Element") -> "Element":
+    """h^sigma(x) = sum h_i * x^(q^i): the linearized action of h on x, by
+    the tower's Frobenius-matrix kernel (`FieldTower.sigma_images`)."""
+    return x.tower.sigma_apply((h,), x)[0]
 
 
 def f_order(x: "Element") -> FPoly:
@@ -455,22 +443,18 @@ def least_failing_factor(x: "Element", e: FPoly | None = None) -> FPoly | None:
     """The least irreducible P | x^n - 1 whose cofactor ((x^n - 1)/P)^sigma
     annihilates x, or None; with e given, only the P dividing e count.
 
-    This is the package's one freeness test on tower arithmetic.  Raises
+    This is the package's one freeness test on tower arithmetic: one call
+    of the tower's sigma kernel on its cached cofactors.  Raises
     NotADivisor unless e divides x^n - 1; without e it reads only the factor
     list, not `FieldTower.divisor_exponents`.
     """
     tower = x.tower
     factors = tower.xn_profile().all_factors
-    if e is not None:
-        factors = [P for P, k in zip(factors, tower.divisor_exponents(e)) if k]
-        if not factors:
-            return None
-    xn1 = FPoly.x_pow_n_minus_1(tower.F, tower.n)
-    conjs = conjugates(x, tower.n)
-    for P in factors:
-        if sigma_eval(xn1 // P, x, conjs).is_zero():
-            return P
-    return None
+    wanted = tower.divisor_exponents(e) if e is not None else (1,) * len(factors)
+    if not any(wanted):
+        return None
+    images = tower.sigma_apply(tower.cofactors, x)
+    return next((P for P, k, y in zip(factors, wanted, images) if k and y.is_zero()), None)
 
 
 def is_e_free(x: "Element", e: FPoly) -> bool:

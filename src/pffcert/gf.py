@@ -366,9 +366,14 @@ class FieldTower:
         self.ext_modulus = ext_modulus
         # x^n = -(c_0 + ... + c_(n-1) x^(n-1)): the nonzero (j, -c_j), for reduction
         self._mod_terms = tuple((j, F.neg(c)) for j, c in enumerate(ext_modulus.coeffs[:-1]) if c)
-        # over GF(p), products sum plain ints and reduce once per coefficient
-        self._prime_base = self.a == 1
-        self._frob_rows: list[tuple[int, ...]] | None = None
+        # int64 holds a packed coefficient and a sum of n a products of digits
+        self._dtype = np.int64 if max(self.q, n * self.a * (self.p - 1) ** 2) < 2**63 else object
+        self._digit_weights = np.array([self.p**j for j in range(self.a)], dtype=self._dtype)
+        u_powers = [1]  # u^s packs as p^s for s < a
+        for _ in range(2 * self.a - 2):
+            u_powers.append(F.mul(u_powers[-1], self.p))
+        self._u_table = self._digits([u_powers[j:j + self.a] for j in range(self.a)])  # [j, k]: u^(j+k)
+        self._sigma_blocks: dict[tuple[FPoly, ...], np.ndarray] = {}
         self._profile: fpoly.FOrderProfile | None = None
         self._exponents: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._generator: Element | None = None
@@ -450,7 +455,7 @@ class FieldTower:
         n = self.n
         ys = [(j, cy) for j, cy in enumerate(y.coeffs) if cy]
         prod = [0] * (2 * n - 1)
-        if self._prime_base:
+        if self.a == 1:  # over GF(p), sum plain ints and reduce once per coefficient
             p = self.p
             for i, cx in enumerate(x.coeffs):
                 if cx:
@@ -473,23 +478,6 @@ class FieldTower:
                 for j, m in self._mod_terms:
                     prod[i - n + j] = F.add(prod[i - n + j], F.mul(c, m))
         return Element(self, tuple(prod[:n]))
-
-    def combine(self, cs, vectors) -> Element:
-        """sum_j cs[j] * vectors[j], for cs[j] in F and coefficient tuples vectors[j]."""
-        acc = [0] * self.n
-        if self._prime_base:
-            for c, v in zip(cs, vectors):
-                if c:
-                    for k, b in enumerate(v):
-                        acc[k] += c * b
-            p = self.p
-            return Element(self, tuple(c % p for c in acc))
-        F = self.F
-        for c, v in zip(cs, vectors):
-            if c:
-                for k, b in enumerate(v):
-                    acc[k] = F.add(acc[k], F.mul(c, b))
-        return Element(self, tuple(acc))
 
     def inverse(self, x: Element) -> Element:
         if x.is_zero():
@@ -522,26 +510,83 @@ class FieldTower:
         return r
 
     def frobenius(self, x: Element, i: int = 1) -> Element:
-        """x^(q^i), via the precomputed q-power matrix."""
-        if self._frob_rows is None:
-            xq = self.power(self.gen_x(), self.q)
-            rows = [self.one_element().coeffs, xq.coeffs]
-            for _ in range(self.n - 2):
-                rows.append((self.element(list(rows[-1])) * xq).coeffs)
-            self._frob_rows = rows
-        out = x
-        for _ in range(i % self.n):
-            # coefficients are fixed by the map (c^q = c for c in F)
-            out = self.combine(out.coeffs, self._frob_rows)
-        return out
+        """x^(q^i) = (X^i)^sigma(x)."""
+        return self.sigma_apply((FPoly.make(self.F, [0] * (i % self.n) + [1]),), x)[0]
 
     def trace_to_base(self, x: Element) -> int:
-        acc = self.zero_element()
-        y = x
-        for _ in range(self.n):
-            acc = acc + y
-            y = y.frobenius(1)
-        return acc.as_base_field()
+        """Tr_(E/F)(x) = (1 + X + ... + X^(n-1))^sigma(x)."""
+        return self.sigma_apply((FPoly(self.F, (1,) * self.n),), x)[0].as_base_field()
+
+    # -- the sigma-action -----------------------------------------------------
+    # E is an n a-dimensional space over GF(p); digit i a + j of an element is
+    # its coordinate on u^j X^i, with u the root of F's modulus (u^0 = 1 over
+    # GF(p)).  This is the table engine's index order.
+
+    def _digits(self, coeffs) -> np.ndarray:
+        """The GF(p) digits, on a new last axis of length a, of F elements."""
+        return np.asarray(coeffs, dtype=self._dtype)[..., None] // self._digit_weights % self.p
+
+    def _times_u(self, digits: np.ndarray) -> np.ndarray:
+        """(..., a) digits of c -> (..., a, a), whose row j holds the digits of u^j c."""
+        return (digits[..., None, None, :] @ self._u_table)[..., 0, :] % self.p
+
+    @functools.cached_property
+    def _phi(self) -> np.ndarray:
+        """The Frobenius matrix over GF(p): row i a + j holds the digits of
+        sigma(u^j X^i) = u^j X^(q i), as sigma fixes F."""
+        xq, powers = self.power(self.gen_x(), self.q), [self.one_element()]
+        while len(powers) < self.n:
+            powers.append(powers[-1] * xq)
+        phi = self._times_u(self._digits([x.coeffs for x in powers]))
+        return phi.transpose(0, 2, 1, 3).reshape(self.n * self.a, self.n * self.a)
+
+    def _sigma_block(self, hs: tuple[FPoly, ...]) -> np.ndarray:
+        """Row i a + j, column t a + j': digit j' of u^j h_t,i, the
+        coefficients of each h_t taken mod x^n - 1 (sigma^n = 1)."""
+        block = self._sigma_blocks.get(hs)
+        if block is None:
+            reduced = [h % FPoly.x_pow_n_minus_1(self.F, self.n) for h in hs]
+            D = max([1] + [len(h.coeffs) for h in reduced])
+            block = self._times_u(self._digits([[h[i] for h in reduced] for i in range(D)]))
+            block = self._sigma_blocks[hs] = block.transpose(0, 2, 1, 3).reshape(D * self.a, len(hs) * self.a)
+        return block
+
+    def sigma_images(self, rows, hs: tuple[FPoly, ...]) -> np.ndarray:
+        """The digits of h^sigma(x) = sum h_i x^(q^i), a k x len(hs) x n a
+        array, for the k digit rows x of `rows` and each h of `hs` over F.
+
+        The package's one sigma-action.  It is GF(p)-linear in x: the Krylov
+        rows x, x Phi, ..., x Phi^(D-1) of the Frobenius matrix, with D - 1
+        the largest degree of an h mod x^n - 1, meet the coefficient blocks
+        of `hs` (cached per tuple) in one matmul.
+        """
+        p, n, a = self.p, self.n, self.a
+        block, phi = self._sigma_block(hs), self._phi
+        krylov = [np.asarray(rows, dtype=self._dtype)]
+        while len(krylov) * a < len(block):
+            krylov.append(krylov[-1] @ phi % p)
+        k, D = len(krylov[0]), len(krylov)
+        # one row per (x, coefficient l), one column per (power i, digit j)
+        stack = np.stack(krylov, axis=1).reshape(k, D, n, a).transpose(0, 2, 1, 3).reshape(k * n, D * a)
+        images = (stack @ block % p).reshape(k, n, len(hs), a)
+        return images.transpose(0, 2, 1, 3).reshape(k, len(hs), n * a)
+
+    def elements_of_digits(self, rows) -> list[Element]:
+        """The elements whose digit rows are the rows of `rows`."""
+        coeffs = np.asarray(rows, dtype=self._dtype).reshape(-1, self.n, self.a) @ self._digit_weights
+        return [Element(self, tuple(cs)) for cs in coeffs.tolist()]
+
+    def sigma_apply(self, hs: tuple[FPoly, ...], x: Element) -> list[Element]:
+        """[h^sigma(x) for h in hs]: `sigma_images` on one row."""
+        return self.elements_of_digits(self.sigma_images(self._digits(x.coeffs).reshape(1, -1), hs)[0])
+
+    @functools.cached_property
+    def cofactors(self) -> tuple[FPoly, ...]:
+        """(x^n - 1)/P for the irreducible factors P of x^n - 1, in
+        `xn_profile().all_factors` order: x is P-free iff the sigma-image of
+        x under the cofactor of P is nonzero."""
+        xn1 = FPoly.x_pow_n_minus_1(self.F, self.n)
+        return tuple(xn1 // P for P in self.xn_profile().all_factors)
 
     def xn_profile(self) -> fpoly.FOrderProfile:
         if self._profile is None:

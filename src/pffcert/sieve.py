@@ -28,7 +28,7 @@ from typing import Iterator, Literal
 
 from . import arith, fpoly, pff, witnesses
 from .arith import Factorization, factor, mult_order
-from .errors import DenominatorNonPositive, FactorTimeout, InvalidArgument, NonPositiveDelta
+from .errors import DenominatorNonPositive, InvalidArgument, NonPositiveDelta, UnsplitCofactor
 from .fpoly import CyclotomicFactor, DegreeProfile, FPoly
 
 EXCEPTIONAL_PAIRS = frozenset({(2, 3), (2, 4), (3, 4), (4, 3), (5, 4)})
@@ -48,7 +48,7 @@ class QData:
     The quotient is `found` times the `cofactors` that trial division left
     unsplit (see arith.PartialFactorization), so Q has the primes `primes`
     and at most `cofactor_omega` more.  `quotient`, `radical` and `Q` are
-    exact only without cofactors and raise FactorTimeout otherwise; R and Q*
+    exact only without cofactors and raise UnsplitCofactor otherwise; R and Q*
     are always exact.
     """
 
@@ -82,7 +82,7 @@ class QData:
     def quotient(self) -> Factorization:
         """The unreduced quotient, as the tables print it."""
         if self.cofactors:
-            raise FactorTimeout(
+            raise UnsplitCofactor(
                 f"Q({self.q}, {self.n}) keeps a cofactor of "
                 f"{self.cofactor.bit_length()} bits that trial division left unsplit"
             )
@@ -122,10 +122,10 @@ def compute_Q(q: int, n: int) -> QData:
             in_N[p] = in_N.get(p, 0) + e
             if d > 1:
                 in_quotient[p] = in_quotient.get(p, 0) + e
-        if d > 1:
-            cofactors += piece.cofactors
-        else:
+        if d == 1:
             R = piece.cofactor
+        elif piece.cofactor > 1:
+            cofactors.append(piece.cofactor)
     for p, e in factor(g).factors:
         in_quotient[p] -= e
     exps = tuple((p, e) for p, e in sorted(in_quotient.items()) if e > 0)

@@ -13,10 +13,12 @@ GF(p), so the digit matrix of the whole field is the base-p digits of
 ``arange(q^n)``.  Every table is then built from GF(p)-linear maps applied to
 that matrix, with no loop over elements: multiplication by a fixed beta, the
 absolute trace and each freeness cofactor h^sigma are matrices over GF(p)
-whose d = n a rows are the images of the d basis elements, computed on tower
-arithmetic.  The exp table comes from doubling: rows gamma^0..gamma^(L-1)
-times the matrix of gamma^L give the next L rows, and squaring that matrix
-steps L to 2L, so ceil(log2 N) doubling steps replace N tower products.
+whose d = n a rows are the images of the d basis elements.  The product by
+beta is tower arithmetic; the trace and the cofactors are one call of the
+tower's sigma kernel (`FieldTower.sigma_images`) on the identity rows.  The
+exp table comes from doubling: rows gamma^0..gamma^(L-1) times the matrix of
+gamma^L give the next L rows, and squaring that matrix steps L to 2L, so
+ceil(log2 N) doubling steps replace N tower products.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import functools
 
 import numpy as np
 
-from . import arith, fpoly
+from . import arith
 from .errors import BudgetExceeded, InconsistentTables
 from .fpoly import FPoly
 from .gf import Element, FieldTower, tower_for
@@ -57,13 +59,16 @@ class SmallFieldEngine:
         self._pack_weights = self.p ** np.arange(tower.n * tower.a, dtype=np.int64)
         self.digits = (np.arange(self.size)[:, None] // self._pack_weights % self.p).astype(np.int32)
         basis = [self.element_of(int(w)) for w in self._pack_weights]
-        conjs = [fpoly.conjugates(b, self.n) for b in basis]  # b, b^q, ..., b^(q^(n-1))
+        # the images of the basis (the identity rows) under every cofactor and
+        # under the trace to F, 1 + X + ... + X^(n-1): d x (r + 1) x d digits
+        trace = FPoly(tower.F, (1,) * self.n)
+        images = tower.sigma_images(np.eye(len(basis), dtype=np.int64), tower.cofactors + (trace,))
 
         self.generator = tower.generator()
         self.exp, self.log = self._build_logs(basis)
-        self.abs_trace = self._build_abs_trace(conjs)
+        self.abs_trace = self._build_abs_trace(images[:, -1])
         self.inv_idx = self._build_inverses()
-        self.add_fail = self._build_add_fail(conjs)
+        self.add_fail = self._build_add_fail(images[:, :-1])
 
     # -- indexing ----------------------------------------------------------
 
@@ -105,25 +110,24 @@ class SmallFieldEngine:
             raise InconsistentTables(f"{self.generator} does not generate the multiplicative group of {self.tower}")
         return exp, log
 
-    def _build_abs_trace(self, conjs: list[list[Element]]) -> np.ndarray:
+    def _build_abs_trace(self, traces: np.ndarray) -> np.ndarray:
         # the absolute trace to GF(p) is GF(p)-linear: one value per basis
-        # element, Tr_(F/GF(p)) of the sum of its conjugates
-        F, zero = self.tower.F, self.tower.zero_element()
-        traces = np.array([F.trace_to_prime(sum(c, zero).as_base_field()) for c in conjs], dtype=np.int64)
-        return self.digits @ traces % self.p
+        # element, Tr_(F/GF(p)) of its trace to F (the digit rows `traces`)
+        tower = self.tower
+        values = [tower.F.trace_to_prime(t.as_base_field()) for t in tower.elements_of_digits(traces)]
+        return self.digits @ np.array(values, dtype=np.int64) % self.p
 
     def _build_inverses(self) -> np.ndarray:
         inv = np.zeros(self.size, dtype=np.int64)
         inv[1:] = self.exp[(-self.log[1:]) % self.N]
         return inv
 
-    def _build_add_fail(self, conjs: list[list[Element]]) -> np.ndarray:
-        """Bit j set for w iff ((x^n - 1)/P_j)^sigma kills w (P_j-freeness fails)."""
-        xn1 = FPoly.x_pow_n_minus_1(self.tower.F, self.n)
+    def _build_add_fail(self, images: np.ndarray) -> np.ndarray:
+        """Bit j set for w iff ((x^n - 1)/P_j)^sigma kills w (P_j-freeness
+        fails), from the basis images `images[:, j]`, one factor at a time."""
         bits = np.zeros(self.size, dtype=np.int64)
-        for j, P in enumerate(self.tower.xn_profile().all_factors):
-            h = self._matrix_of(fpoly.sigma_eval(xn1 // P, c[0], c) for c in conjs)
-            killed = ~(self.digits @ h % self.p).any(axis=1)
+        for j in range(images.shape[1]):
+            killed = ~(self.digits @ images[:, j] % self.p).any(axis=1)
             bits |= killed.astype(np.int64) << j
         return bits
 

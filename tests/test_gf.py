@@ -133,6 +133,35 @@ def test_frobenius_fixes_exactly_F():
         assert fixed == q
 
 
+def _ref_sigma(h, x):
+    """sum h_i x^(q^i), each conjugate by square-and-multiply, which shares
+    no code with the tower's Frobenius matrix."""
+    q = x.tower.q
+    return sum(((x ** (q**i)).scale(c) for i, c in enumerate(h.coeffs)), x.tower.zero_element())
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 5), (4, 4), (9, 3), (25, 2)])
+def test_sigma_images_match_the_conjugate_sums(q, n):
+    t = tower_for(q, n)
+    F, profile = t.F, t.xn_profile()
+    rng = random.Random(q * 100 + n)
+    # every monic divisor of x^n - 1 = (x^(n*) - 1)^(n/n*), and one h of degree 2n + 1
+    divisors = [FPoly.one(F)]
+    for P in profile.all_factors:
+        powers = [FPoly.one(F)]
+        while len(powers) <= n // profile.n_star:
+            powers.append(powers[-1] * P)
+        divisors = [d * Pk for d in divisors for Pk in powers]
+    hs = tuple(divisors) + (FPoly.make(F, [rng.randrange(q) for _ in range(2 * n + 1)] + [1]),)
+    xs = [t.gen_x()] + [t.element([rng.randrange(q) for _ in range(n)]) for _ in range(4)]
+    rows = [[d for c in x.coeffs for d in F.prime_digits(c)] for x in xs]
+    images = t.sigma_images(rows, hs)
+    assert images.shape == (len(xs), len(hs), n * t.a)
+    for x, row in zip(xs, images):
+        assert t.elements_of_digits(row) == [_ref_sigma(h, x) for h in hs]
+        assert t.sigma_apply(hs, x) == [_ref_sigma(h, x) for h in hs]
+
+
 def test_trace_examples():
     # T(1) = n * 1 in F
     t = tower_for(5, 4)

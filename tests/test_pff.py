@@ -245,3 +245,13 @@ def test_q_reduction_identity_small():
         assert lhs == rhs, (q, n)
         checked += 1
     assert checked >= 5
+
+
+def test_first_hit_search_takes_no_conjugate_walk(monkeypatch):
+    # freeness reads the tower's Frobenius-matrix kernel, so a return to a
+    # walk of Frobenius maps per candidate (1209 of them on (2, 40)) shows here
+    calls = []
+    frobenius = FieldTower.frobenius
+    monkeypatch.setattr(FieldTower, "frobenius", lambda *args: calls.append(args) or frobenius(*args))
+    pff.search_pff(2, 40, "first", budget=2**40)
+    assert len(calls) <= 1

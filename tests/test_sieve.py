@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pffcert import arith, fpoly, pff
-from pffcert.errors import DenominatorNonPositive, FactorTimeout, InvalidArgument, NonPositiveDelta, NotPrime
+from pffcert.errors import DenominatorNonPositive, InvalidArgument, NonPositiveDelta, NotPrime, UnsplitCofactor
 from pffcert.fpoly import FPoly
 from pffcert.gf import field_for_order
 from pffcert.sieve import (
@@ -504,7 +504,7 @@ def test_compute_Q_matches_whole_number_factoring():
         assert qd.found.value * qd.cofactor == quotient.value
         # rho, run here and not by compute_Q, splits what trial division left
         for c in qd.cofactors:
-            d = next(d for d in arith.divisors(n) if c in arith.factor_cyclotomic(q, d).cofactors)
+            d = next(d for d in arith.divisors(n) if c == arith.factor_cyclotomic(q, d).cofactor)
             primes = arith.factor(c).primes
             assert all(p >= arith.TRIAL_BOUND and (p - 1) % d == 0 for p in primes), (q, n)
             assert len(primes) <= arith.omega_bound(c), (q, n)
@@ -548,7 +548,7 @@ def test_qdata_with_cofactor_is_exact_only_where_it_can_be():
     assert qd.found.value * qd.cofactor == N // (6 * math.gcd(35, 6))
     assert qd.Q_star * qd.R == N
     for attr in ("Q", "radical", "quotient"):
-        with pytest.raises(FactorTimeout):
+        with pytest.raises(UnsplitCofactor):
             getattr(qd, attr)
     # sieving atoms are proven primes; the unknown ones stay in the core
     for strat in ("default", "all-core", "sieve-2"):

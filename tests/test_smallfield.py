@@ -129,15 +129,26 @@ def _reference_tables(q, n):
         log[index(acc)] = j
         acc = acc * t.generator()
     xn1 = FPoly.x_pow_n_minus_1(F, n)
-    factors = t.xn_profile().all_factors
+    cofactors = [xn1 // P for P in t.xn_profile().all_factors]
+    zero = t.zero_element()
+    abs_trace, add_fail = [], []
+    for x in elems:
+        # x, x^q, ..., x^(q^(n-1)) by square-and-multiply, which shares no
+        # code with the tower's Frobenius matrix
+        conjs = [x]
+        while len(conjs) < n:
+            conjs.append(conjs[-1] ** q)
+        abs_trace.append(F.trace_to_prime(sum(conjs, zero).as_base_field()))
+        # h^sigma(x) = sum h_i x^(q^i)
+        killed = [sum((c.scale(h_i) for h_i, c in zip(h.coeffs, conjs)), zero).is_zero() for h in cofactors]
+        add_fail.append(sum(k << j for j, k in enumerate(killed)))
     return {
         "exp": exp,
         "log": log,
         "digits": [[d for c in x.coeffs for d in F.prime_digits(c)] for x in elems],
-        "abs_trace": [x.abs_trace() for x in elems],
+        "abs_trace": abs_trace,
         "inv_idx": [0] + [index(x.inverse()) for x in elems[1:]],
-        "add_fail": [sum(fpoly.sigma_eval(xn1 // P, x).is_zero() << j for j, P in enumerate(factors))
-                     for x in elems],
+        "add_fail": add_fail,
     }
 
 
