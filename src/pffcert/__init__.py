@@ -45,7 +45,7 @@ from .fpoly import (
     reduction_degree,
     sigma_eval,
 )
-from .gf import Element, FieldTower, construct_tower, field_for_order, tower_for
+from .gf import Element, FieldTower, construct_tower, field_for_order, tower_for, tower_mod
 from .pff import PffVerdict, brute_N, is_m_free, is_primitive, pff_verdict, search_pff, verify_pff_polynomial
 from .sieve import (
     Certificate,
@@ -56,12 +56,12 @@ from .sieve import (
     SieveAtom,
     SieveDecomposition,
     certify,
-    choose_partition,
     compute_Q,
     eval_R,
     eval_decomposition,
     key_ineq,
     lemma_prime_n,
+    prime_partitions,
 )
 
 __version__ = "0.1.0"

@@ -66,7 +66,6 @@ TOL = 1e-9
 class ComplexVal:
     re: float
     im: float
-    tol: float = TOL
 
     @property
     def value(self) -> complex:
@@ -77,10 +76,10 @@ class ComplexVal:
 
     def as_integer(self) -> int:
         scale = max(1.0, abs(self.re))
-        if abs(self.im) > self.tol * scale:
+        if abs(self.im) > TOL * scale:
             raise ValueError(f"imaginary part {self.im} too large")
         r = round(self.re)
-        if abs(self.re - r) > self.tol * scale:
+        if abs(self.re - r) > TOL * scale:
             raise ValueError(f"real part {self.re} is not near an integer")
         return int(r)
 
@@ -406,51 +405,18 @@ def _char_tables(q: int, n: int) -> _CharTables:
     return _CharTables(q, n)
 
 
-def _mult_indicator_values(engine: SmallFieldEngine, m: int) -> np.ndarray:
-    """theta(m) * integral over d | m of eta_d(w), for all w in E*."""
-    return _char_tables(engine.q, engine.n).mult_row(_prime_key(engine, m))
-
-
-def _add_indicator_values(engine: SmallFieldEngine, g: FPoly) -> np.ndarray:
-    """Theta(g) * integral over D | g of chi_{delta_D}(w), for all w in E."""
-    return _char_tables(engine.q, engine.n).add_row(engine.radical_mask(g))
-
-
-def N_formula(q: int, n: int, m: int, g: FPoly, h: FPoly, method: str = "grouped") -> ComplexVal:
-    """Character-sum evaluation of N(m, g, h).
-
-    `grouped` multiplies the three characteristic functions pointwise over
-    E* (the defining expansion), reading them from the field's cached rows;
-    `triple` assembles the same value from explicit generalized Kloosterman
-    sums, one per character triple, and is only meant for very small inputs.
+def N_formula(q: int, n: int, m: int, g: FPoly, h: FPoly) -> ComplexVal:
+    """Character-sum evaluation of N(m, g, h) in grouped form: the three
+    characteristic functions multiplied pointwise over E* (the defining
+    expansion), read from the field's cached rows.  `N_formula_expanded` is
+    the per-character reference it is tested against.
     """
     engine = engine_for(q, n)
     primes, g_mask, h_mask = _prime_key(engine, m), engine.radical_mask(g), engine.radical_mask(h)
-    if method == "triple":
-        return _N_formula_triple(engine, m, g, h)
     tables = _char_tables(q, n)
     vg = tables.add_row(g_mask)[1:]
     vh = tables.add_row(h_mask)[engine.inv_idx[1:]]
     return ComplexVal.of(complex(tables.mult_row(primes) @ (vg * vh)))
-
-
-def _N_formula_triple(engine: SmallFieldEngine, m: int, g: FPoly, h: FPoly) -> ComplexVal:
-    m0 = arith.radical(math.gcd(m, engine.N)) if m > 1 else 1
-    theta = _theta(m) if m > 1 else Fraction(1)
-    total = 0j
-    for d in arith.squarefree_divisors(m0):
-        wd = Fraction(arith.moebius(d), arith.phi(d))
-        for eta in characters_of_order(engine, d):
-            for D1 in squarefree_poly_divisors(engine, g):
-                w1 = Fraction(poly_moebius(engine, D1), poly_phi(engine, D1))
-                for d1 in delta_set(engine, D1):
-                    for D2 in squarefree_poly_divisors(engine, h):
-                        w2 = Fraction(poly_moebius(engine, D2), poly_phi(engine, D2))
-                        for d2 in delta_set(engine, D2):
-                            K = kloosterman(int(d1), int(d2), eta)
-                            total += float(wd * w1 * w2) * K.value
-    scale = float(theta * _Theta(engine, g) * _Theta(engine, h))
-    return ComplexVal.of(scale * total)
 
 
 def N_formula_expanded(q: int, n: int, m: int, g: FPoly, h: FPoly) -> ComplexVal:
@@ -461,22 +427,24 @@ def N_formula_expanded(q: int, n: int, m: int, g: FPoly, h: FPoly) -> ComplexVal
     eps is -1 for g = h = 1, +1 for g != 1 != h, 0 otherwise.
     """
     engine = engine_for(q, n)
-    m0 = arith.radical(math.gcd(m, engine.N)) if m > 1 else 1
+    m0 = math.prod(_prime_key(engine, m))  # NotADivisor unless m divides q^n - 1
     g_one = _is_trivial_poly(engine, g)
     h_one = _is_trivial_poly(engine, h)
     eps = -1 if (g_one and h_one) else (1 if (not g_one and not h_one) else 0)
 
-    def mult_weights(nontrivial):
+    def mult_weights():
+        """(mu(d)/phi(d), eta) for the nontrivial eta of squarefree order d | m."""
         for d in arith.squarefree_divisors(m0):
-            if nontrivial and d == 1:
+            if d == 1:
                 continue
             wd = Fraction(arith.moebius(d), arith.phi(d))
             for eta in characters_of_order(engine, d):
                 yield wd, eta
 
-    def add_weights(e: FPoly, nontrivial):
+    def add_weights(e: FPoly):
+        """(mu(D)/Phi(D), delta) for the delta of F-order D, 1 != D | rad e."""
         for D in squarefree_poly_divisors(engine, e):
-            if nontrivial and D.is_one():
+            if D.is_one():
                 continue
             w = Fraction(poly_moebius(engine, D), poly_phi(engine, D))
             for di in delta_set(engine, D):
@@ -484,27 +452,26 @@ def N_formula_expanded(q: int, n: int, m: int, g: FPoly, h: FPoly) -> ComplexVal
 
     total = complex(engine.q**engine.n + eps)
     # d != 1, D1 != 1 (Gauss block on g)
-    for wd, eta in mult_weights(True):
+    for wd, eta in mult_weights():
         Gv = gauss(eta).value
-        s = sum(float(w1) * eta.conj()(d1) for w1, d1 in add_weights(g, True))
+        s = sum(float(w1) * eta.conj()(d1) for w1, d1 in add_weights(g))
         total += float(wd) * s * Gv
     # d != 1, D2 != 1 (conjugate Gauss block on h)
-    for wd, eta in mult_weights(True):
+    for wd, eta in mult_weights():
         Gv = gauss(eta.conj()).value
-        s = sum(float(w2) * eta(d2) for w2, d2 in add_weights(h, True))
+        s = sum(float(w2) * eta(d2) for w2, d2 in add_weights(h))
         total += float(wd) * s * Gv
     # d = 1, D1 != 1, D2 != 1 (plain Kloosterman block)
     eta1 = MulChar(engine, 0)
-    for w1, d1 in add_weights(g, True):
-        for w2, d2 in add_weights(h, True):
+    for w1, d1 in add_weights(g):
+        for w2, d2 in add_weights(h):
             total += float(w1 * w2) * kloosterman(d1, d2, eta1).value
     # d != 1, D1 != 1, D2 != 1
-    for wd, eta in mult_weights(True):
-        for w1, d1 in add_weights(g, True):
-            for w2, d2 in add_weights(h, True):
+    for wd, eta in mult_weights():
+        for w1, d1 in add_weights(g):
+            for w2, d2 in add_weights(h):
                 total += float(wd * w1 * w2) * kloosterman(d1, d2, eta).value
-    theta = _theta(m) if m > 1 else Fraction(1)
-    scale = float(theta * _Theta(engine, g) * _Theta(engine, h))
+    scale = float(_theta(m0) * _Theta(engine, g) * _Theta(engine, h))
     return ComplexVal.of(scale * total)
 
 

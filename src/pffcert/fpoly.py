@@ -279,10 +279,9 @@ def _equal_degree_split(f: FPoly, d: int, rng: random.Random) -> list[FPoly]:
             t = h.pow_mod((q**d - 1) // 2, f) - FPoly.one(F)
         else:
             # char 2: absolute-trace map h + h^2 + ... + h^(2^(ad-1))
-            a = F.a if hasattr(F, "a") else 1
             t = FPoly.zero(F)
             acc = h % f
-            for _ in range(a * d):
+            for _ in range(F.a * d):
                 t = t + acc
                 acc = acc.pow_mod(2, f)
         g = f.gcd(t)
@@ -525,8 +524,8 @@ def reciprocal(f: FPoly) -> FPoly:
 
 def _coeff_str(F, c: int, power: int) -> tuple[str, str]:
     """(sign, body) for coefficient c on x^power."""
-    p = getattr(F, "p", F.char)
-    if getattr(F, "a", 1) == 1:
+    p = F.p
+    if F.a == 1:
         # prime field: render p - k as -k when k <= p/2
         if c > p // 2:
             sign, mag = "-", p - c

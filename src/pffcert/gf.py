@@ -258,30 +258,24 @@ def lex_least_irreducible(field, degree: int) -> FPoly:
     raise NotIrreducible(f"no irreducible of degree {degree}?")
 
 
-def base_field(p: int, a: int = 1, modulus_coeffs: tuple[int, ...] | None = None):
-    """GF(p^a), table-backed when small."""
-    if modulus_coeffs is not None:
-        modulus_coeffs = tuple(modulus_coeffs)
-    return _base_field_cached(p, a, modulus_coeffs)
+def base_field(p: int, a: int = 1):
+    """GF(p^a) with the package's default modulus, table-backed when small.
+
+    The cache sits behind this call so that base_field(p) and base_field(p, 1)
+    return the same object: towers and polynomials compare fields by identity.
+    """
+    return _base_field_cached(p, a)
 
 
 @functools.lru_cache(maxsize=None)
-def _base_field_cached(p: int, a: int, modulus_coeffs: tuple[int, ...] | None):
+def _base_field_cached(p: int, a: int):
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     gfp = PrimeField(p)
     if a == 1:
         return gfp
-    if modulus_coeffs is None:
-        modulus_coeffs = _PREFERRED_BASE_MODULI.get((p, a))
-    if modulus_coeffs is None:
-        mod = lex_least_irreducible(gfp, a)
-    else:
-        mod = FPoly(gfp, tuple(modulus_coeffs))
-        if mod.degree != a or not mod.is_monic():
-            raise NotIrreducible("base modulus must be monic of degree a")
-        if not fpoly.is_irreducible(mod):
-            raise NotIrreducible(f"{mod} is not irreducible over GF({p})")
+    coeffs = _PREFERRED_BASE_MODULI.get((p, a))
+    mod = lex_least_irreducible(gfp, a) if coeffs is None else FPoly(gfp, coeffs)
     return PolyExtField(gfp, mod)
 
 
@@ -358,11 +352,10 @@ class FieldTower:
             raise InvalidArgument(f"the extension modulus {ext_modulus} is not monic of degree {n} over {F}")
         self.F = F
         self.p = F.char
-        self.a = getattr(F, "a", 1)
+        self.a = F.a
         self.q = F.order
         self.n = n
         self.order = self.q**n
-        self.base_modulus = getattr(F, "modulus", None)
         self.ext_modulus = ext_modulus
         # x^n = -(c_0 + ... + c_(n-1) x^(n-1)): the nonzero (j, -c_j), for reduction
         self._mod_terms = tuple((j, F.neg(c)) for j, c in enumerate(ext_modulus.coeffs[:-1]) if c)
@@ -630,38 +623,35 @@ class FieldTower:
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_tower(F, n: int, ext_coeffs) -> FieldTower:
+def _cached_tower(F, n: int, ext_coeffs: tuple[int, ...] | None) -> FieldTower:
+    """The tower over F modulo ext_coeffs, or modulo the default modulus."""
     if ext_coeffs is None:
-        ext = lex_least_irreducible(F, n)
-    else:
-        ext = FPoly(F, ext_coeffs)
-        if ext.degree != n or not ext.is_monic():
-            raise NotIrreducible("extension modulus must be monic of degree n")
-        if not fpoly.is_irreducible(ext):
-            raise NotIrreducible(f"{ext} is not irreducible over GF({F.order})")
+        return FieldTower(F, n, lex_least_irreducible(F, n))
+    ext = FPoly(F, ext_coeffs)
+    if not ext.is_monic() or not fpoly.is_irreducible(ext):
+        raise NotIrreducible(f"{ext} is not a monic irreducible over GF({F.order})")
     return FieldTower(F, n, ext)
 
 
-def construct_tower(p: int, a: int, n: int, base_modulus=None, ext_modulus=None) -> FieldTower:
-    """Build GF(p) < GF(p^a) < GF(p^(a n)); moduli default deterministically."""
+def construct_tower(p: int, a: int, n: int) -> FieldTower:
+    """GF(p) < GF(p^a) < GF(p^(a n)) with the default moduli: the preferred
+    or lexicographically least irreducibles.  `tower_mod` takes any other."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if a < 1 or n < 1:
         raise InvalidArgument(f"extension degrees a = {a}, n = {n} must be positive")
-    bc = tuple(base_modulus) if base_modulus is not None else None
-    ec = tuple(ext_modulus) if ext_modulus is not None else None
-    return _cached_tower(base_field(p, a, bc), n, ec)
+    return _cached_tower(base_field(p, a), n, None)
 
 
 def tower_mod(f: FPoly) -> FieldTower:
-    """The tower F[x]/(f) over the field F of f's coefficients.
+    """The tower F[x]/(f) over the field F of f's coefficients: the one way
+    to choose the extension modulus.
 
     Raises NotIrreducible unless f is monic and irreducible over F.
     """
     return _cached_tower(f.field, f.degree, f.coeffs)
 
 
-def tower_for(q: int, n: int, ext_modulus=None) -> FieldTower:
+def tower_for(q: int, n: int) -> FieldTower:
     """Tower over GF(q) for a prime power q, default moduli."""
-    p, a = prime_power(q)
-    return construct_tower(p, a, n, ext_modulus=ext_modulus)
+    return construct_tower(*prime_power(q), n)

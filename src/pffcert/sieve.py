@@ -288,7 +288,7 @@ def _braced_value(
     """2^w_exponent * ((2X/s + t - 1)/(delta - 2X/(s q^s)) + 2), exactly.
 
     X is the degree surrogate for the sieved polynomial part (n* - m in the
-    exact form, n* - rho n or (1 - rho) n in the relaxed forms).
+    exact form, n* - rho n in the relaxed one).
     """
     num = Fraction(2) * X / s + (t - 1)
     den = delta - Fraction(2) * X / (s * q**s)
@@ -353,49 +353,38 @@ def key_ineq(
 def eval_R(
     q: int,
     n: int,
+    n_star: int,
     s: int,
     rho: Fraction,
     u: int,
     t: int = 0,
     delta: Fraction = Fraction(1),
-    refined: bool = True,
-    n_star: int | None = None,
 ) -> BoundResult:
     """R(n; q) such that the pair is certified whenever q > R(n; q).
 
     The relaxed parametrization of the core-atom inequality: the sieved
-    degree is taken as n* - rho n (refined) or (1 - rho) n (basic), and the
-    exponent on 2 is 2 rho n + u + 1, which must be an integer (rho is
-    omega_g / n for the omega_g irreducible factors of x^n - 1), so R is exact.
+    degree is taken as n* - rho n, and the exponent on 2 is 2 rho n + u + 1,
+    which must be an integer (rho is omega_g / n for the omega_g irreducible
+    factors of x^n - 1), so R is exact.
     """
-    if n_star is None:
-        n_star = n
     rho = Fraction(rho)
-    X = n_star - rho * n if refined else (1 - rho) * n
     two_rho_n = 2 * rho * n
     if two_rho_n.denominator != 1:
         raise InvalidArgument(f"2 rho n = {two_rho_n} is not an integer")
-    braced = _braced_value(q, n, s, X, int(two_rho_n) + u + 1, t, Fraction(delta))
-    numerics = {"s": s, "rho": rho, "u": u, "t": t, "delta": Fraction(delta), "refined": refined}
+    braced = _braced_value(q, n, s, n_star - rho * n, int(two_rho_n) + u + 1, t, Fraction(delta))
+    numerics = {"s": s, "rho": rho, "u": u, "t": t, "delta": Fraction(delta)}
     return _bound_from_braced(q, n, braced, numerics)
 
 
-def choose_partition(q: int, n: int, strategy: str = "default", qdata: QData | None = None) -> Partition:
-    """Prime partitions: 'default' cores the primes below q; 'all-core'
-    disables multiplicative sieving; 'sieve-t' sieves the t largest."""
-    qd = qdata or compute_Q(q, n)
-    primes, unknown = qd.primes, qd.cofactor_omega
-    if strategy == "default":
-        core = tuple(p for p in primes if p < q)
-        return Partition(core, tuple(p for p in primes if p >= q), unknown)
-    if strategy == "all-core":
-        return Partition(primes, (), unknown)
-    if strategy.startswith("sieve-"):
-        t = int(strategy.split("-")[1])
-        if not 0 <= t <= len(primes):
-            raise ValueError(f"cannot sieve {t} of {len(primes)} primes")
-        return Partition(primes[: len(primes) - t], primes[len(primes) - t :], unknown)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def prime_partitions(qdata: QData) -> list[Partition]:
+    """The partitions of the primes of Q that certify tries, in its order:
+    the primes below q in the core and the rest sieving; every prime in the
+    core; then the t largest sieving, for t = 1, ..., omega(Q).  The primes
+    of an unsplit cofactor stay in the core."""
+    q, primes, unknown = qdata.q, qdata.primes, qdata.cofactor_omega
+    out = [Partition(tuple(p for p in primes if p < q), tuple(p for p in primes if p >= q), unknown)]
+    out += [Partition(primes[:k], primes[k:], unknown) for k in range(len(primes), -1, -1)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +424,7 @@ def bound_candidates(
     exactly where key_ineq's denominator is not positive; certify skips those.
     """
     factors, K, k0 = profile.factors, len(profile.factors), profile.omega_g
-    strategies = ["default", "all-core"] + [f"sieve-{t}" for t in range(1, len(qdata.primes) + 1)]
-    partitions = [choose_partition(q, n, strat, qdata) for strat in strategies]
+    partitions = prime_partitions(qdata)
     all_core = partitions[1]
     order = [("keyineq-additive", k0, all_core), ("nosieve-bound", K, all_core)]
     order += [("keyineq-full", k0, part) for part in partitions if part.t]
@@ -508,7 +496,6 @@ class Certificate:
 @dataclass(frozen=True)
 class CertifyConfig:
     search_budget: int = pff.SEARCH_BUDGET
-    use_witness_table: bool = True
 
 
 def _factoring_evidence(qdata: QData) -> tuple[dict, tuple[str, ...]]:
@@ -575,12 +562,9 @@ def certify(q: int, n: int, config: CertifyConfig | None = None) -> Certificate:
                                notes=q_notes)
 
     # known witness polynomial, then direct search
-    if cfg.use_witness_table:
-        w = witnesses.lookup(q, n)
-        if w is not None:
-            verdict = pff.verify_pff_polynomial(w)
-            if verdict.is_pff:
-                return Certificate(q, n, "PFF", "polynomial-witness", witness=w)
+    w = witnesses.lookup(q, n)
+    if w is not None and pff.verify_pff_polynomial(w).is_pff:
+        return Certificate(q, n, "PFF", "polynomial-witness", witness=w)
 
     if q**n <= cfg.search_budget:
         found = pff.search_pff(q, n, "first", budget=cfg.search_budget)

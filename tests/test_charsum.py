@@ -127,7 +127,7 @@ def test_vinogradov_characteristic_function():
         eng = engine_for(q, n)
         Q = compute_Q(q, n).Q
         for m in {Q} | set(arith.factor(Q).primes[:1]):
-            vals = cs._mult_indicator_values(eng, m)
+            vals = cs._char_tables(q, n).mult_row(cs._prime_key(eng, m))
             for idx in range(1, eng.size):
                 e = eng.element_of(idx)
                 expected = 1.0 if pff.is_m_free(e, m) else 0.0
@@ -144,7 +144,7 @@ def test_additive_characteristic_function():
         nstar_poly = FPoly.x_pow_n_minus_1(t.F, t.xn_profile().n_star)
         xn1 = FPoly.x_pow_n_minus_1(t.F, n)
         for g in (nstar_poly, poly(q, t.F.neg(1), 1), xn1):
-            vals = cs._add_indicator_values(eng, g)
+            vals = cs._char_tables(q, n).add_row(eng.radical_mask(g))
             for idx in range(eng.size):
                 e = eng.element_of(idx)
                 expected = 1.0 if is_e_free(e, g) else 0.0
@@ -187,14 +187,14 @@ def test_check_nformula_records_non_integral_values(monkeypatch):
     assert "0.500000" in results[0].detail
 
 
-def test_N_formula_triple_matches_grouped():
+def test_N_formula_matches_expanded():
     x2m1 = poly(3, 2, 0, 1)
-    a = cs.N_formula(3, 4, 10, x2m1, x2m1, method="grouped")
-    b = cs.N_formula(3, 4, 10, x2m1, x2m1, method="triple")
+    a = cs.N_formula(3, 4, 10, x2m1, x2m1)
+    b = cs.N_formula_expanded(3, 4, 10, x2m1, x2m1)
     assert abs(a.value - b.value) < 1e-6
     xm1 = poly(5, 4, 1)
-    a = cs.N_formula(5, 2, 3, xm1, xm1, method="grouped")
-    b = cs.N_formula(5, 2, 3, xm1, xm1, method="triple")
+    a = cs.N_formula(5, 2, 3, xm1, xm1)
+    b = cs.N_formula_expanded(5, 2, 3, xm1, xm1)
     assert abs(a.value - b.value) < 1e-6
 
 
@@ -285,22 +285,22 @@ def test_N_formula_reads_a_non_monic_divisor_as_its_monic_multiple():
     for m in (1, 10, 80):
         brute = pff.brute_N(3, 4, m, g2, h2)
         assert brute == pff.brute_N(3, 4, m, g, h)
-        for method in ("grouped", "triple"):
-            assert cs.N_formula(3, 4, m, g2, h2, method=method).as_integer() == brute
-            assert cs.N_formula(3, 4, m, g, h, method=method).as_integer() == brute
+        for formula in (cs.N_formula, cs.N_formula_expanded):
+            assert formula(3, 4, m, g2, h2).as_integer() == brute
+            assert formula(3, 4, m, g, h).as_integer() == brute
 
 
-@pytest.mark.parametrize("method", ["grouped", "triple"])
-def test_N_formula_rejects_non_divisors(method):
+@pytest.mark.parametrize("formula", [cs.N_formula, cs.N_formula_expanded], ids=["grouped", "expanded"])
+def test_N_formula_rejects_non_divisors(formula):
     eng = engine_for(3, 4)
     one, xn1 = FPoly.one(eng.tower.F), FPoly.x_pow_n_minus_1(eng.tower.F, 4)
     # x^2 + x - 1 is irreducible over GF(3) and does not divide x^4 - 1
     for bad in (poly(3, 2, 1, 1), FPoly.zero(eng.tower.F), xn1 * xn1):
         with pytest.raises(NotADivisor):
-            cs.N_formula(3, 4, 10, bad, one, method=method)
+            formula(3, 4, 10, bad, one)
         with pytest.raises(NotADivisor):
-            cs.N_formula(3, 4, 10, one, bad, method=method)
-    # 7 and 0 do not divide 3^4 - 1 = 80
-    for m in (7, 0):
+            formula(3, 4, 10, one, bad)
+    # 7, 0 and 160 do not divide 3^4 - 1 = 80
+    for m in (7, 0, 160):
         with pytest.raises(NotADivisor):
-            cs.N_formula(3, 4, m, one, xn1, method=method)
+            formula(3, 4, m, one, xn1)

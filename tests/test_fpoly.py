@@ -8,7 +8,7 @@ import pytest
 from pffcert import arith, fpoly
 from pffcert.errors import NotADivisor
 from pffcert.fpoly import FPoly, f_order, factor_xn_minus_1, is_e_free, min_poly, reciprocal, sigma_eval
-from pffcert.gf import field_for_order, tower_for
+from pffcert.gf import field_for_order, tower_for, tower_mod
 from pffcert.smallfield import engine_for
 
 from conftest import poly
@@ -177,7 +177,7 @@ def test_f_order_basics():
 
 def test_f_order_of_table_root():
     # a root of the degree-3 PFF polynomial over GF(7) has full order x^3 - 1
-    t = tower_for(7, 3, ext_modulus=(4, 2, 1, 1))
+    t = tower_mod(poly(7, 4, 2, 1, 1))
     assert f_order(t.gen_x()) == FPoly.x_pow_n_minus_1(t.F, 3)
 
 
@@ -284,7 +284,7 @@ def test_min_poly():
     assert min_poly(t2.gen_x()) == poly(2, 1, 1, 1)  # the defining modulus
     # roundtrip: the minimal polynomial of a root of f is f again
     f = poly(7, 4, 2, 1, 1)
-    t = tower_for(7, 3, ext_modulus=f.coeffs)
+    t = tower_mod(f)
     assert min_poly(t.gen_x()) == f
     # degree divides n
     t34 = tower_for(3, 4)

@@ -4,7 +4,16 @@ import pytest
 
 from pffcert.errors import DivisionByZero, InvalidArgument, NotADivisor, NotIrreducible, NotPrime
 from pffcert.fpoly import FPoly, is_irreducible
-from pffcert.gf import FieldTower, PolyExtField, base_field, construct_tower, field_for_order, lex_least_irreducible, tower_for
+from pffcert.gf import (
+    FieldTower,
+    PolyExtField,
+    base_field,
+    construct_tower,
+    field_for_order,
+    lex_least_irreducible,
+    tower_for,
+    tower_mod,
+)
 
 
 def test_preferred_base_moduli():
@@ -16,10 +25,11 @@ def test_preferred_base_moduli():
 def test_construct_tower_validation():
     with pytest.raises(NotPrime):
         construct_tower(4, 1, 2)
+    F2 = base_field(2)
     with pytest.raises(NotIrreducible):
-        construct_tower(2, 2, 2, base_modulus=(1, 0, 1))  # u^2+1 = (u+1)^2
+        PolyExtField(F2, FPoly(F2, (1, 0, 1)))  # u^2+1 = (u+1)^2: no generator for the tables
     with pytest.raises(NotIrreducible):
-        construct_tower(2, 1, 2, ext_modulus=(0, 0, 1))  # x^2
+        tower_mod(FPoly(F2, (0, 0, 1)))  # x^2
 
 
 def test_direct_constructors_check_their_moduli():

@@ -6,7 +6,7 @@ import pytest
 from pffcert import arith, fpoly, pff, witnesses
 from pffcert.errors import BudgetExceeded, NotADivisor, NotIrreducible, WrongDegree, ZeroElement
 from pffcert.fpoly import FPoly, reciprocal
-from pffcert.gf import FieldTower, base_field, field_for_order, tower_for
+from pffcert.gf import FieldTower, PolyExtField, base_field, field_for_order, tower_for, tower_mod
 from pffcert.smallfield import engine_for
 
 from conftest import poly
@@ -69,7 +69,7 @@ def test_pff_verdict_subfield_and_table_roots():
         assert v.witnesses["primitivity"] is not None
     # the degree-5 entry over GF(4): x^5+ux^4+ux^3+x+u+1
     w = witnesses.lookup(4, 5)
-    root_tower = tower_for(4, 5, ext_modulus=w.coeffs)
+    root_tower = tower_mod(w)
     assert pff.pff_verdict(root_tower.gen_x()).is_pff
 
 
@@ -107,7 +107,7 @@ def test_search_examples():
 def test_verify_pff_polynomial_reads_f_over_its_own_field():
     # over GF(2)[u]/(u^3 + u^2 + 1), x^2 + ux + 1 is reducible and x^2 + x + u
     # irreducible; over the default GF(8) = GF(2)[u]/(u^3 + u + 1) it is the other way round
-    F = base_field(2, 3, (1, 0, 1, 1))
+    F = PolyExtField(base_field(2), FPoly(base_field(2), (1, 0, 1, 1)))
     reducible, irreducible = FPoly(F, (1, 2, 1)), FPoly(F, (2, 1, 1))
     default = field_for_order(8)
     assert fpoly.is_irreducible(FPoly(default, reducible.coeffs))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pffcert import arith, fpoly, pff
+from pffcert import arith, fpoly, pff, witnesses
 from pffcert.errors import DenominatorNonPositive, InvalidArgument, NonPositiveDelta, NotPrime, UnsplitCofactor
 from pffcert.fpoly import FPoly
 from pffcert.gf import field_for_order
@@ -17,12 +17,12 @@ from pffcert.sieve import (
     SieveDecomposition,
     bound_candidates,
     certify,
-    choose_partition,
     compute_Q,
     eval_R,
     eval_decomposition,
     key_ineq,
     lemma_prime_n,
+    prime_partitions,
 )
 
 
@@ -129,18 +129,15 @@ def test_key_ineq_denominator_guard():
 
 
 def test_eval_R_table_rows():
-    assert eval_R(3, 52, 6, Fraction(11, 52), 6).R == pytest.approx(2.403790, abs=1e-5)
-    assert eval_R(2, 45, 12, Fraction(2, 15), 6).R == pytest.approx(1.96389, abs=1e-4)
-    assert eval_R(4, 36, 3, Fraction(1, 12), 12, n_star=9).R == pytest.approx(2.2779, abs=1e-4)
-    # basic (unrefined) uses (1 - rho) n and is never smaller
-    basic = eval_R(4, 36, 3, Fraction(1, 12), 12, refined=False, n_star=9)
-    assert basic.R >= 2.2779
+    assert eval_R(3, 52, 52, 6, Fraction(11, 52), 6).R == pytest.approx(2.403790, abs=1e-5)
+    assert eval_R(2, 45, 45, 12, Fraction(2, 15), 6).R == pytest.approx(1.96389, abs=1e-4)
+    assert eval_R(4, 36, 9, 3, Fraction(1, 12), 12).R == pytest.approx(2.2779, abs=1e-4)
 
 
 def test_eval_R_rejects_a_fractional_exponent():
     # 2 rho n = 20/7: no float-derived R is ever returned
     with pytest.raises(ValueError):
-        eval_R(3, 10, 2, Fraction(1, 7), 4)
+        eval_R(3, 10, 10, 2, Fraction(1, 7), 4)
 
 
 def test_eval_R_pass_verdict_matches_key_ineq():
@@ -149,18 +146,24 @@ def test_eval_R_pass_verdict_matches_key_ineq():
         u = compute_Q(q, n).radical.omega
         part = Partition(tuple(compute_Q(q, n).primes), ())
         a = key_ineq(q, n, profile, part, refined=True)
-        b = eval_R(q, n, profile.s, profile.rho, u, 0, Fraction(1), True, profile.n_star)
+        b = eval_R(q, n, profile.n_star, profile.s, profile.rho, u)
         assert a.passes == b.passes
         assert a.R == pytest.approx(b.R, rel=1e-12)
 
 
-def test_choose_partition():
-    part = choose_partition(9, 16)
+def test_prime_partitions():
+    # first the primes below q in the core
+    part = prime_partitions(compute_Q(9, 16))[0]
     assert part.core == (2, 5) and part.sieving == (17, 41, 193, 21523361)
-    part = choose_partition(5, 16)
+    part = prime_partitions(compute_Q(5, 16))[0]
     assert part.core == (2, 3)
     assert abs(float(part.delta) - 0.8610) < 1e-3
-    part = choose_partition(13, 8, "sieve-4")
+    # then every prime in the core, then the t largest sieving for t = 1, ..., omega(Q)
+    qd = compute_Q(13, 8)
+    parts = prime_partitions(qd)
+    assert [p.t for p in parts[1:]] == list(range(len(qd.primes) + 1))
+    assert all(p.core + p.sieving == qd.primes for p in parts[1:])
+    part = parts[5]
     assert part.core == (2,) and len(part.sieving) == 4
     res = key_ineq(13, 8, fpoly.degree_profile(13, 8), part, refined=True)
     assert res.passes and res.R < 11
@@ -325,12 +328,13 @@ def test_certify_searches_pairs_no_bound_settles():
     assert pff.verify_pff_polynomial(cert.witness).is_pff
 
 
-def test_certify_falls_back_to_direct_search():
+def test_certify_falls_back_to_direct_search(monkeypatch):
     # (2, 6) passes no bound; without the witness table it is searched
-    cert = certify(2, 6, CertifyConfig(use_witness_table=False))
+    monkeypatch.setattr(witnesses, "lookup", lambda q, n: None)
+    cert = certify(2, 6)
     assert (cert.status, cert.method) == ("PFF", "direct-search")
     assert pff.verify_pff_polynomial(cert.witness).is_pff
-    cert = certify(2, 6, CertifyConfig(use_witness_table=False, search_budget=10))
+    cert = certify(2, 6, CertifyConfig(search_budget=10))
     assert (cert.status, cert.method, cert.witness) == ("UNDECIDED", None, None)
 
 
@@ -551,8 +555,7 @@ def test_qdata_with_cofactor_is_exact_only_where_it_can_be():
         with pytest.raises(UnsplitCofactor):
             getattr(qd, attr)
     # sieving atoms are proven primes; the unknown ones stay in the core
-    for strat in ("default", "all-core", "sieve-2"):
-        part = choose_partition(7, 35, strat, qd)
+    for part in prime_partitions(qd):
         assert set(part.sieving) <= set(qd.primes) and part.unknown == 3
     profile = fpoly.degree_profile(7, 35)
     with pytest.raises(ValueError):
