@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from . import charsum, pff, verify
-from .errors import BudgetExceeded, PffcertError
+from .errors import BudgetExceeded, InvalidArgument, PffcertError
 from .fpoly import FPoly
 from .gf import field_for_order
 from .sieve import CertifyConfig, certify
@@ -137,6 +137,9 @@ def cmd_verify_suite(args) -> int:
 def cmd_verify_poly(args) -> int:
     t0 = time.time()
     F = field_for_order(args.q)
+    bad = [c for c in args.coeffs if not 0 <= c < args.q]
+    if bad:
+        raise InvalidArgument(f"coefficient {bad[0]} is not an element 0..{args.q - 1} of GF({args.q})")
     f = FPoly.make(F, args.coeffs)
     verdict = pff.verify_pff_polynomial(f)
     results = {

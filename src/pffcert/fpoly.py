@@ -90,10 +90,6 @@ class FPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return FPoly.make(F, [F.sub(self[i], other[i]) for i in range(n)])
 
-    def __neg__(self) -> "FPoly":
-        F = self.field
-        return FPoly(F, tuple(F.neg(c) for c in self.coeffs))
-
     def __mul__(self, other: "FPoly") -> "FPoly":
         F = self.field
         a, b = self.coeffs, other.coeffs

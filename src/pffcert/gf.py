@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import fpoly
-from .arith import factor, is_prime, prime_power
-from .errors import DivisionByZero, InvalidArgument, NotADivisor, NotIrreducible, NotPrime
+from .arith import factor, prime_power
+from .errors import DivisionByZero, InvalidArgument, NotADivisor, NotIrreducible
 from .fpoly import FPoly
 
 _TABLE_LIMIT = 1024  # build full mul/inv/add tables for base fields up to this order
@@ -70,14 +71,16 @@ class PrimeField:
 class PolyExtField:
     """GF(p^a) as GF(p)[u]/(modulus); elements are base-p packed ints.
 
-    Up to _TABLE_LIMIT elements, mul and inv (and, for odd p, add and neg)
-    read tables; in characteristic 2, addition is XOR of the packed ints.
+    The arithmetic is that of the tower GF(p) < GF(p)[u]/(modulus) on the
+    digits.  Up to _TABLE_LIMIT elements, mul and inv (and, for odd p, add
+    and neg) read tables built from the powers of the tower's generator; in
+    characteristic 2, addition is XOR of the packed ints.
     """
 
     def __init__(self, base: PrimeField, modulus: FPoly):
-        if modulus.field is not base or not modulus.is_monic():
-            raise InvalidArgument(f"the modulus {modulus} is not a monic polynomial over {base}")
-        self.base = base
+        self.tower = FieldTower(base, modulus.degree, modulus)  # checks the field, monicity and degree
+        if not fpoly.is_irreducible(modulus):
+            raise NotIrreducible(f"{modulus} is not irreducible over {base}")
         self.p = base.p
         self.char = base.p
         self.a = modulus.degree
@@ -100,65 +103,39 @@ class PolyExtField:
     def pack(self, digits) -> int:
         return sum(int(d) % self.p * self.p**i for i, d in enumerate(digits))
 
+    def _on_tower(self, op, *xs: int) -> int:
+        """op on the tower elements with the digits of xs as coefficients, packed."""
+        return self.pack(op(*(Element(self.tower, tuple(self.digits(x))) for x in xs)).coeffs)
+
     def add(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
         if self._add_table is not None:
             return self._add_table[x * self.order + y]
-        return self._add_raw(x, y)
+        return self._on_tower(operator.add, x, y)
 
     def sub(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
         if self._add_table is not None:
             return self._add_table[x * self.order + self._neg_table[y]]
-        return self._add_raw(x, self.neg(y))
+        return self._on_tower(operator.sub, x, y)
 
     def neg(self, x: int) -> int:
         if self.p == 2:
             return x
         if self._neg_table is not None:
             return self._neg_table[x]
-        return self.pack(-d % self.p for d in self.digits(x))
-
-    def _add_raw(self, x: int, y: int) -> int:
-        p = self.p
-        return self.pack((a + b) % p for a, b in zip(self.digits(x), self.digits(y)))
-
-    def _mul_raw(self, x: int, y: int) -> int:
-        p = self.p
-        dx, dy = self.digits(x), self.digits(y)
-        prod = [0] * (2 * self.a - 1)
-        for i, cx in enumerate(dx):
-            if cx:
-                for j, cy in enumerate(dy):
-                    prod[i + j] = (prod[i + j] + cx * cy) % p
-        # reduce modulo the defining polynomial
-        mod = self.modulus.coeffs
-        for i in range(len(prod) - 1, self.a - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.a):
-                    prod[i - self.a + j] = (prod[i - self.a + j] - c * mod[j]) % p
-        return self.pack(prod[: self.a])
-
-    def _generator_powers(self) -> list[int]:
-        """[g^0, ..., g^(q-2)] for the least-index generator g of F*."""
-        q = self.order
-        for g in range(self.p, q):  # below p lies GF(p), which generates nothing for a > 1
-            powers, x = [1], g
-            while x != 1 and len(powers) < q:
-                powers.append(x)
-                x = self._mul_raw(x, g)
-            if x == 1 and len(powers) == q - 1:
-                return powers
-        raise NotIrreducible(f"{self.modulus} is not irreducible over GF({self.p})")
+        return self._on_tower(operator.sub, 0, x)
 
     def _build_tables(self) -> None:
-        """mul and inv from the logs of one generator walk; add and neg from digit sums."""
+        """mul and inv from the logs of the tower's generator; add and neg from digit sums."""
         q, p, a = self.order, self.p, self.a
-        exp = np.array(self._generator_powers(), dtype=np.int64)
+        g, x, powers = self.tower.generator(), self.tower.one_element(), []
+        while len(powers) < q - 1:
+            powers.append(x.coeffs)
+            x = x * g
+        exp = np.array(powers, dtype=np.int64) @ p ** np.arange(a, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         logs = log[1:]
@@ -182,14 +159,14 @@ class PolyExtField:
     def mul(self, x: int, y: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[x * self.order + y]
-        return self._mul_raw(x, y)
+        return self._on_tower(operator.mul, x, y)
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise DivisionByZero("inverse of zero")
         if self._inv_table is not None:
             return self._inv_table[x]
-        return self.pow(x, self.order - 2)
+        return self._on_tower(Element.inverse, x)
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
@@ -209,8 +186,6 @@ class PolyExtField:
         for _ in range(self.a):
             acc = self.add(acc, y)
             y = self.pow(y, self.p)
-        if acc >= self.p:
-            raise NotIrreducible(f"the trace of {x} leaves GF({self.p}), so {self.modulus} is reducible")
         return acc
 
     def format_element(self, x: int) -> str:
@@ -258,22 +233,13 @@ def lex_least_irreducible(field, degree: int) -> FPoly:
     raise NotIrreducible(f"no irreducible of degree {degree}?")
 
 
-def base_field(p: int, a: int = 1):
-    """GF(p^a) with the package's default modulus, table-backed when small.
-
-    The cache sits behind this call so that base_field(p) and base_field(p, 1)
-    return the same object: towers and polynomials compare fields by identity.
-    """
-    return _base_field_cached(p, a)
-
-
 @functools.lru_cache(maxsize=None)
 def _base_field_cached(p: int, a: int):
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    gfp = PrimeField(p)
+    """GF(p^a) with the package's default modulus: one object per field, as
+    towers and polynomials compare fields by identity."""
     if a == 1:
-        return gfp
+        return PrimeField(p)
+    gfp = _base_field_cached(p, 1)
     coeffs = _PREFERRED_BASE_MODULI.get((p, a))
     mod = lex_least_irreducible(gfp, a) if coeffs is None else FPoly(gfp, coeffs)
     return PolyExtField(gfp, mod)
@@ -281,7 +247,7 @@ def _base_field_cached(p: int, a: int):
 
 def field_for_order(q: int):
     """GF(q) for a prime power q, with the package's default modulus."""
-    return base_field(*prime_power(q))
+    return _base_field_cached(*prime_power(q))
 
 
 @dataclass(frozen=True)
@@ -301,10 +267,6 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         F = self.tower.F
         return Element(self.tower, tuple(F.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Element":
-        F = self.tower.F
-        return Element(self.tower, tuple(F.neg(a) for a in self.coeffs))
 
     def scale(self, c: int) -> "Element":
         F = self.tower.F
@@ -400,7 +362,8 @@ class FieldTower:
             yield self.element([(k // q**i) % q for i in range(n)])
 
     def generator(self) -> Element:
-        """Least-index generator of E*, the fixed base of every discrete log.
+        """Least-index generator of E*, the fixed base of every discrete log
+        and of the base-field tables: the package's one generator search.
 
         For n > 1 the q constants are skipped: their order divides q - 1.
         """
@@ -633,16 +596,6 @@ def _cached_tower(F, n: int, ext_coeffs: tuple[int, ...] | None) -> FieldTower:
     return FieldTower(F, n, ext)
 
 
-def construct_tower(p: int, a: int, n: int) -> FieldTower:
-    """GF(p) < GF(p^a) < GF(p^(a n)) with the default moduli: the preferred
-    or lexicographically least irreducibles.  `tower_mod` takes any other."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if a < 1 or n < 1:
-        raise InvalidArgument(f"extension degrees a = {a}, n = {n} must be positive")
-    return _cached_tower(base_field(p, a), n, None)
-
-
 def tower_mod(f: FPoly) -> FieldTower:
     """The tower F[x]/(f) over the field F of f's coefficients: the one way
     to choose the extension modulus.
@@ -653,5 +606,10 @@ def tower_mod(f: FPoly) -> FieldTower:
 
 
 def tower_for(q: int, n: int) -> FieldTower:
-    """Tower over GF(q) for a prime power q, default moduli."""
-    return construct_tower(*prime_power(q), n)
+    """GF(p) < GF(q) < GF(q^n) for a prime power q, with the default moduli:
+    the preferred or lexicographically least irreducibles.  `tower_mod`
+    takes any other extension modulus."""
+    F = field_for_order(q)
+    if n < 1:
+        raise InvalidArgument(f"the extension degree n = {n} must be positive")
+    return _cached_tower(F, n, None)

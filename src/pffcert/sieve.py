@@ -69,11 +69,6 @@ class QData:
         return sum(arith.omega_bound(c) for c in self.cofactors)
 
     @property
-    def omega_bound(self) -> int:
-        """Upper bound on omega(Q); exact without cofactors."""
-        return len(self.primes) + self.cofactor_omega
-
-    @property
     def primes(self) -> tuple[int, ...]:
         """The proven primes of Q: all of them unless cofactors are left."""
         return self.found.primes

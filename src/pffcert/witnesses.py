@@ -1,7 +1,7 @@
 """Known PFF polynomials, used as certificate witnesses.
 
 Coefficients are listed least significant first, in the int encoding of the
-default base fields (see gf.base_field): residues for prime fields; packed
+default base fields (see gf.field_for_order): residues for prime fields; packed
 digits for GF(4) = GF(2)(u) with u^2+u+1 = 0, GF(8) = GF(2)(u) with
 u^3+u+1 = 0 and GF(9) = GF(3)(u) with u^2-u-1 = 0, so e.g. u encodes as 2
 over GF(4)/GF(8) and as 3 over GF(9).

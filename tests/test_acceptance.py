@@ -32,10 +32,10 @@ def test_acceptance_1_exceptions():
     t0 = time.time()
     pairs = verify.small_field_pairs()
     assert (17, 3) in pairs and (16, 3) in pairs  # the range really reaches 5000
-    zero_pairs = set()
-    for q, n in pairs:
-        if pff.count_pff_elements(q, n) == 0:
-            zero_pairs.add((q, n))
+    checks = verify.verify_all("exceptions")
+    assert [c.name for c in checks] == [f"search({q},{n})" for q, n in pairs]
+    assert [c for c in checks if not c.ok] == []
+    zero_pairs = {pair for pair, c in zip(pairs, checks) if c.detail == "0 PFF elements"}
     assert zero_pairs == EXCEPTIONAL_PAIRS
     elapsed = time.time() - t0
     assert elapsed < 60
@@ -48,11 +48,10 @@ def test_acceptance_1_exceptions():
 
 def test_acceptance_2_polynomial_tables():
     t0 = time.time()
-    verified = []
-    for (q, n) in witnesses.table_pairs():
-        v = pff.verify_pff_polynomial(witnesses.lookup(q, n))
-        assert v.is_pff, (q, n)
-        verified.append((q, n))
+    checks = verify.verify_all("tables")
+    assert [c for c in checks if not c.ok] == []
+    verified = [c.name for c in checks if "replacement" not in c.detail]
+    assert verified == [f"PFF({q},{n})" for q, n in witnesses.table_pairs()]
     # the garbled degree-16 ternary entry: replaced by a successful search
     found = pff.search_pff(3, 16, "first", budget=10**8)
     assert found and pff.verify_pff_polynomial(found[0]).is_pff

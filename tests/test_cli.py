@@ -90,7 +90,8 @@ def test_verify_suite_section(capsys):
 def test_invalid_input_exits_cleanly():
     for args in (("certify", "2", "0"), ("certify", "2", "-3"), ("certify", "6", "3"),
                  ("certify", "1", "5"), ("charsum", "6", "2"), ("search", "2", "0"),
-                 ("certify", str(2**89 - 1), "3")):
+                 ("certify", str(2**89 - 1), "3"), ("verify", "4", "5", "1"), ("verify", "3", "-1", "1"),
+                 ("verify", "3", "4", "1")):
         code, out, err = run_cli(*args)
         assert code == 2, args
         assert out == "" and err.startswith("error: ") and "Traceback" not in err, args

@@ -7,8 +7,6 @@ from pffcert.fpoly import FPoly, is_irreducible
 from pffcert.gf import (
     FieldTower,
     PolyExtField,
-    base_field,
-    construct_tower,
     field_for_order,
     lex_least_irreducible,
     tower_for,
@@ -17,19 +15,36 @@ from pffcert.gf import (
 
 
 def test_preferred_base_moduli():
-    assert base_field(2, 2).modulus.coeffs == (1, 1, 1)  # u^2+u+1
-    assert base_field(2, 3).modulus.coeffs == (1, 1, 0, 1)  # u^3+u+1
-    assert base_field(3, 2).modulus.coeffs == (2, 2, 1)  # u^2-u-1
+    assert field_for_order(4).modulus.coeffs == (1, 1, 1)  # u^2+u+1
+    assert field_for_order(8).modulus.coeffs == (1, 1, 0, 1)  # u^3+u+1
+    assert field_for_order(9).modulus.coeffs == (2, 2, 1)  # u^2-u-1
+    # one GF(p) object under every field of characteristic p
+    assert field_for_order(4).tower.F is field_for_order(2)
 
 
-def test_construct_tower_validation():
-    with pytest.raises(NotPrime):
-        construct_tower(4, 1, 2)
-    F2 = base_field(2)
+def test_tower_for_validation():
+    for q in (6, 1, 0):
+        with pytest.raises(NotPrime):
+            tower_for(q, 2)
+    with pytest.raises(InvalidArgument):
+        tower_for(4, 0)
+    F2 = field_for_order(2)
     with pytest.raises(NotIrreducible):
-        PolyExtField(F2, FPoly(F2, (1, 0, 1)))  # u^2+1 = (u+1)^2: no generator for the tables
+        PolyExtField(F2, FPoly(F2, (1, 0, 1)))  # u^2+1 = (u+1)^2
     with pytest.raises(NotIrreducible):
         tower_mod(FPoly(F2, (0, 0, 1)))  # x^2
+
+
+def test_reducible_base_moduli_are_rejected_at_every_size():
+    # past the table limit no generator walk runs, so only the
+    # irreducibility test stands between a reducible modulus and a "field"
+    F2 = field_for_order(2)
+    x11 = FPoly(F2, (0,) * 11 + (1,))
+    product = FPoly(F2, (1, 0, 1, 0, 0, 1)) * FPoly(F2, (1, 1, 0, 0, 0, 0, 1))  # (x^5+x^2+1)(x^6+x+1)
+    assert product.degree == 11 and 2**11 > 1024
+    for modulus in (x11, product):
+        with pytest.raises(NotIrreducible):
+            PolyExtField(F2, modulus)
 
 
 def test_direct_constructors_check_their_moduli():
@@ -67,7 +82,7 @@ def test_divisor_exponents():
 def test_default_ext_modulus_is_lex_least():
     t = tower_for(2, 3)
     assert t.ext_modulus.coeffs == (1, 1, 0, 1)  # x^3+x+1
-    F = base_field(3)
+    F = field_for_order(3)
     assert lex_least_irreducible(F, 2).coeffs == (1, 0, 1)  # x^2+1
 
 
@@ -89,7 +104,7 @@ def test_lex_least_irreducible_matches_the_unfiltered_loop(q):
 
 
 def test_gf4_multiplication():
-    F = base_field(2, 2)
+    F = field_for_order(4)
     u, u1 = 2, 3
     assert F.mul(u, u1) == 1  # u(u+1) = u^2+u = 1
     assert F.inv(u) == u1
@@ -177,7 +192,7 @@ def test_trace_examples():
     t = tower_for(5, 4)
     assert t.one_element().trace_to_base() == 4 % 5
     # GF(9)/GF(3) with u^2-u-1 = 0: T(u) = u + u^3 = 1
-    t9 = construct_tower(3, 2, 1)
+    t9 = tower_for(9, 1)
     assert t9.F.trace_to_prime(3) == 1  # 3 encodes u
 
 
@@ -196,13 +211,13 @@ def test_trace_surjective_and_linear():
 
 
 def test_element_serialization():
-    t = construct_tower(3, 2, 2)
+    t = tower_for(9, 2)
     x = t.element([3, 4])  # u and u+1 over GF(9)
     assert x.serialize() == [[0, 1], [1, 1]]
 
 
 def test_gf9_format():
-    F = base_field(3, 2)
+    F = field_for_order(9)
     assert F.format_element(7) == "2u + 1"
     assert F.format_element(0) == "0"
 
@@ -260,7 +275,7 @@ def test_prime_base_products_match_the_schoolbook(p):
     # multiply and frobenius are ring operations of GF(p)[x]/(f) for any
     # monic f, so random moduli exercise them at every degree
     rng = random.Random(p)
-    F = base_field(p)
+    F = field_for_order(p)
     for n in (1, 2, 5, 12, 40):
         f = [rng.randrange(p) for _ in range(n)] + [1]
         t = FieldTower(F, n, FPoly(F, tuple(f)))
@@ -277,7 +292,7 @@ def test_prime_base_products_match_the_schoolbook(p):
 @pytest.mark.parametrize("p", [2, 13, 127, 2**61 - 1])
 def test_prime_field_polynomials_match_the_schoolbook(p):
     rng = random.Random(p + 1)
-    F = base_field(p)
+    F = field_for_order(p)
     for _ in range(12):
         a = [rng.randrange(p) for _ in range(rng.randrange(1, 42))]
         b = [rng.randrange(p) for _ in range(rng.randrange(1, 42))]
@@ -290,21 +305,27 @@ def test_prime_field_polynomials_match_the_schoolbook(p):
         assert rem.coeffs == _trim(ref_rem)
 
 
+def _lift(F, x):
+    """x of GF(p^a) as an element of F's tower GF(p) < GF(p)[u]/(modulus)."""
+    return F.tower.element(F.digits(x))
+
+
 def _check_base_field_pair(F, x, y):
-    p = F.p
-    assert F.mul(x, y) == F._mul_raw(x, y)
-    assert F.add(x, y) == F._add_raw(x, y)
-    assert F.sub(x, y) == F._add_raw(x, F.pack(-d % p for d in F.digits(y)))
+    X, Y = _lift(F, x), _lift(F, y)
+    assert F.mul(x, y) == F.pack((X * Y).coeffs)
+    assert F.add(x, y) == F.pack((X + Y).coeffs)
+    assert F.sub(x, y) == F.pack((X - Y).coeffs)
 
 
 @pytest.mark.parametrize("q", [9, 25, 27, 16])
 def test_base_field_tables_match_the_digit_arithmetic(q):
     F = field_for_order(q)
     assert F._mul_table is not None and (F._add_table is not None) == (F.p != 2)
+    zero = F.tower.zero_element()
     for x in range(q):
-        assert F.neg(x) == F.pack(-d % F.p for d in F.digits(x))
+        assert F.neg(x) == F.pack((zero - _lift(F, x)).coeffs)
         if x:
-            assert F._mul_raw(x, F.inv(x)) == 1
+            assert F.inv(x) == F.pack(_lift(F, x).inverse().coeffs)
         for y in range(q):
             _check_base_field_pair(F, x, y)
 
@@ -315,7 +336,26 @@ def test_base_field_tables_on_a_sample_of_gf243():
     for _ in range(3000):
         _check_base_field_pair(F, rng.randrange(243), rng.randrange(243))
     for x in range(1, 243):
-        assert F._mul_raw(x, F.inv(x)) == 1
+        assert F.inv(x) == F.pack(_lift(F, x).inverse().coeffs)
+        assert F.mul(x, F.inv(x)) == 1
+
+
+@pytest.mark.parametrize("q", [2**11, 3**7])
+def test_untabled_base_fields_keep_the_field_identities(q):
+    # above the table limit every operation runs on the tower
+    F = field_for_order(q)
+    assert F._mul_table is None and F._add_table is None
+    rng = random.Random(q)
+    for _ in range(40):
+        x, y, z = rng.randrange(1, q), rng.randrange(q), rng.randrange(q)
+        assert F.mul(x, F.inv(x)) == 1
+        assert F.pow(x, q - 1) == 1
+        assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+        assert F.add(F.sub(y, z), z) == y and F.add(y, F.neg(y)) == 0
+        assert F.trace_to_prime(F.add(y, z)) == (F.trace_to_prime(y) + F.trace_to_prime(z)) % F.p
+        assert F.trace_to_prime(y) in range(F.p)
+    with pytest.raises(DivisionByZero):
+        F.inv(0)
 
 
 def _ref_norm(x):

@@ -6,7 +6,7 @@ import pytest
 from pffcert import arith, fpoly, pff, witnesses
 from pffcert.errors import BudgetExceeded, NotADivisor, NotIrreducible, WrongDegree, ZeroElement
 from pffcert.fpoly import FPoly, reciprocal
-from pffcert.gf import FieldTower, PolyExtField, base_field, field_for_order, tower_for, tower_mod
+from pffcert.gf import FieldTower, PolyExtField, field_for_order, tower_for, tower_mod
 from pffcert.smallfield import engine_for
 
 from conftest import poly
@@ -107,7 +107,7 @@ def test_search_examples():
 def test_verify_pff_polynomial_reads_f_over_its_own_field():
     # over GF(2)[u]/(u^3 + u^2 + 1), x^2 + ux + 1 is reducible and x^2 + x + u
     # irreducible; over the default GF(8) = GF(2)[u]/(u^3 + u + 1) it is the other way round
-    F = PolyExtField(base_field(2), FPoly(base_field(2), (1, 0, 1, 1)))
+    F = PolyExtField(field_for_order(2), FPoly(field_for_order(2), (1, 0, 1, 1)))
     reducible, irreducible = FPoly(F, (1, 2, 1)), FPoly(F, (2, 1, 1))
     default = field_for_order(8)
     assert fpoly.is_irreducible(FPoly(default, reducible.coeffs))
@@ -136,6 +136,15 @@ def test_first_hits_are_pinned(q, n):
     (f,) = pff.search_pff(q, n, "first", budget=q**n)
     assert f.coeffs == FIRST_HITS[q, n]
     assert pff.verify_pff_polynomial(f).is_pff
+
+
+@pytest.mark.parametrize("q,expected", [(2048, "x^2 + x + u^4 + u + 1"), (3**7, "x^2 + ux + u^2 + 1")])
+def test_first_hits_over_untabled_base_fields(q, expected):
+    # GF(2^11) and GF(3^7) lie past the base-field table limit, so every
+    # operation of F runs on its tower GF(p) < GF(p)[u]/(modulus)
+    (f,) = pff.search_pff(q, 2, "first")
+    assert f.field._mul_table is None
+    assert str(f) == expected
 
 
 def test_first_hit_kernels_keep_their_operation_counts(monkeypatch):

@@ -542,7 +542,7 @@ def test_resistant_cofactor_is_bounded_not_fatal():
     # the bound covers the primes the cofactor really has, as rho finds them
     _, rad, Q_star, R = _compute_Q_by_three_factorizations(7, 35)
     assert set(qd.primes) < set(rad.primes)
-    assert rad.omega <= qd.omega_bound
+    assert rad.omega <= len(qd.primes) + qd.cofactor_omega
     assert (qd.Q_star, qd.R) == (Q_star, R)
 
 
