@@ -4,7 +4,6 @@ certification via exact arithmetic, character-sum bounds and sieve criteria."""
 from .arith import (
     Factorization,
     PartialFactorization,
-    W,
     c_bound,
     check_primorial_bound,
     factor,
@@ -14,7 +13,7 @@ from .arith import (
     phi,
     radical,
 )
-from .charsum import ComplexVal, MulChar, N_formula, add_char_f_order, canonical_add_char, gauss, kloosterman
+from .charsum import ComplexVal, MulChar, N_formula, gauss, kloosterman
 from .errors import (
     BudgetExceeded,
     DenominatorNonPositive,
@@ -36,17 +35,13 @@ from .fpoly import (
     FOrderProfile,
     FPoly,
     degree_profile,
-    f_order,
     factor_xn_minus_1,
-    is_e_free,
-    is_free,
     least_failing_factor,
     min_poly,
     reduction_degree,
-    sigma_eval,
 )
 from .gf import Element, FieldTower, field_for_order, tower_for, tower_mod
-from .pff import PffVerdict, brute_N, is_m_free, is_primitive, pff_verdict, search_pff, verify_pff_polynomial
+from .pff import PffVerdict, brute_N, pff_verdict, search_pff, verify_pff_polynomial
 from .sieve import (
     Certificate,
     CertifyConfig,

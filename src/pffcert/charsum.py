@@ -40,6 +40,12 @@ digit-cube weights (r the number of irreducible factors of x^n - 1), plus
 0.16 to 0.37 MB for each field of the benchmark's oracle, and at most about
 50 MB up to ENGINE_LIMIT (a prime field whose q - 1 has six primes, with
 all 64 multiplicative rows in use).
+
+`N_formula_expanded` is the slow reference: the same count summed character
+by character over the Gauss and Kloosterman blocks that the sieve proof
+bounds.  `pffcert verify-suite` checks N_formula against `pff.brute_N` on
+the inputs of `verify.nformula_suite`, and the expanded form against it on
+GF(5^2) and GF(2^6).
 """
 
 from __future__ import annotations
@@ -96,11 +102,6 @@ class MulChar:
     k: int
 
     @property
-    def order(self) -> int:
-        N = self.engine.N
-        return N // math.gcd(self.k, N)
-
-    @property
     def is_trivial(self) -> bool:
         return self.k % self.engine.N == 0
 
@@ -143,12 +144,6 @@ def all_characters(engine: SmallFieldEngine) -> list[MulChar]:
 
 def _proot_powers(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
-
-
-def canonical_add_char(w: Element) -> ComplexVal:
-    """chi(w) = exp(2 pi i AbsTrace(w) / p)."""
-    p = w.tower.p
-    return ComplexVal.of(cmath.exp(2j * cmath.pi * w.abs_trace() / p))
 
 
 def _chi_values(engine: SmallFieldEngine) -> np.ndarray:
@@ -209,14 +204,6 @@ def _f_order_table(q: int, n: int) -> tuple[tuple[FPoly, ...], np.ndarray]:
     if (order_of < 0).any():
         raise InconsistentTables(f"an additive character of {tower} has no F-order dividing x^n - 1")
     return divisors, order_of
-
-
-def add_char_f_order(delta: Element) -> FPoly:
-    """F-order of chi_delta; D = 1 exactly for delta = 0."""
-    tower = delta.tower
-    engine = engine_for(tower.q, tower.n)
-    divisors, order_of = _f_order_table(tower.q, tower.n)
-    return divisors[int(order_of[engine.index_of(delta)])]
 
 
 def delta_set(engine: SmallFieldEngine, D: FPoly) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 Polynomials are immutable coefficient tuples, least significant first, with
 coefficients in the int encoding of their field (see gf.py).  The module
-also hosts the additive-order machinery for extension elements: F-orders,
-freeness tests and minimal polynomials.  Each h^sigma (x^i replaced by the
-i-th Frobenius power) is evaluated by the tower's Frobenius-matrix kernel,
-`FieldTower.sigma_images`.  Extension elements are duck-typed here to keep
-the import graph acyclic; gf.py provides the concrete Element.
+also hosts the two element tests that read polynomials: the freeness test
+`least_failing_factor` and the minimal polynomial `min_poly`.  Each h^sigma
+(x^i replaced by the i-th Frobenius power) is evaluated by the tower's
+Frobenius-matrix kernel, `FieldTower.sigma_images`.  Extension elements are
+duck-typed here to keep the import graph acyclic; gf.py provides the
+concrete Element.
 """
 
 from __future__ import annotations
@@ -193,13 +194,6 @@ class FPoly:
             if bit == "1":
                 result = result * base % mod
         return result
-
-    def evaluate(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
 
     def serialize(self) -> list[list[int]]:
         """Nested coefficient lists, least significant first, prime digits inner."""
@@ -406,32 +400,8 @@ def degree_profile(q: int, n: int) -> DegreeProfile:
 
 
 # ---------------------------------------------------------------------------
-# sigma evaluation, F-order, freeness, minimal polynomial
+# freeness and minimal polynomial
 # ---------------------------------------------------------------------------
-
-
-def sigma_eval(h: FPoly, x: "Element") -> "Element":
-    """h^sigma(x) = sum h_i * x^(q^i): the linearized action of h on x, by
-    the tower's Frobenius-matrix kernel (`FieldTower.sigma_images`)."""
-    return x.tower.sigma_apply((h,), x)[0]
-
-
-def f_order(x: "Element") -> FPoly:
-    """Minimal monic divisor g of x^n - 1 with g^sigma(x) = 0."""
-    tower = x.tower
-    F = tower.F
-    profile = tower.xn_profile()
-    pb = tower.n // profile.n_star
-    exps = {f: pb for f in profile.all_factors}
-    current = FPoly.x_pow_n_minus_1(F, tower.n)
-    for f in profile.all_factors:
-        while exps[f] > 0:
-            cand = current // f
-            if not sigma_eval(cand, x).is_zero():
-                break
-            current = cand
-            exps[f] -= 1
-    return current
 
 
 def least_failing_factor(x: "Element", e: FPoly | None = None) -> FPoly | None:
@@ -450,21 +420,6 @@ def least_failing_factor(x: "Element", e: FPoly | None = None) -> FPoly | None:
         return None
     images = tower.sigma_apply(tower.cofactors, x)
     return next((P for P, k, y in zip(factors, wanted, images) if k and y.is_zero()), None)
-
-
-def is_e_free(x: "Element", e: FPoly) -> bool:
-    """True iff x = h^sigma(v) with h | e forces h = 1.
-
-    Equivalently: for every irreducible P dividing e, the cofactor
-    ((x^n - 1)/P)^sigma does not annihilate x.  Raises NotADivisor unless
-    e divides x^n - 1.
-    """
-    return least_failing_factor(x, e) is None
-
-
-def is_free(x: "Element") -> bool:
-    """Free (normal) over F: every irreducible factor survives."""
-    return least_failing_factor(x) is None
 
 
 def _berlekamp_massey(F, s: list[int]) -> list[int]:
@@ -504,13 +459,6 @@ def min_poly(x: "Element") -> FPoly:
         power = power * x
         s.append(power.coeffs[0])
     return FPoly.make(tower.F, _berlekamp_massey(tower.F, s))
-
-
-def reciprocal(f: FPoly) -> FPoly:
-    """Monic reciprocal x^deg * f(1/x) / f(0); needs f(0) != 0."""
-    if not f.coeffs or f.coeffs[0] == 0:
-        raise ValueError("reciprocal needs a nonzero constant term")
-    return FPoly.make(f.field, tuple(reversed(f.coeffs))).monic()
 
 
 # ---------------------------------------------------------------------------

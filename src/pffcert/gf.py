@@ -220,13 +220,17 @@ def lex_least_irreducible(field, degree: int) -> FPoly:
     """Smallest monic irreducible of given degree, counting coefficient vectors.
 
     Past degree 1, x divides every candidate with constant term 0 (k % q == 0),
-    so those are skipped without an irreducibility test.
+    and when p divides the degree, a candidate g(x^p) is the p-th power of a
+    polynomial over the perfect field GF(q); both are skipped without an
+    irreducibility test.
     """
-    q = field.order
+    q, p = field.order, field.char
     for k in range(q**degree):
         if degree > 1 and k % q == 0:
             continue
         coeffs = [(k // q**i) % q for i in range(degree)] + [1]
+        if degree % p == 0 and not any(coeffs[i] for i in range(degree) if i % p):
+            continue
         f = FPoly(field, tuple(coeffs))
         if fpoly.is_irreducible(f):
             return f
@@ -268,10 +272,6 @@ class Element:
         F = self.tower.F
         return Element(self.tower, tuple(F.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
-    def scale(self, c: int) -> "Element":
-        F = self.tower.F
-        return Element(self.tower, tuple(F.mul(c, a) for a in self.coeffs))
-
     def __mul__(self, other: "Element") -> "Element":
         return self.tower.multiply(self, other)
 
@@ -281,25 +281,11 @@ class Element:
     def __pow__(self, e: int) -> "Element":
         return self.tower.power(self, e)
 
-    def frobenius(self, i: int = 1) -> "Element":
-        return self.tower.frobenius(self, i)
-
-    def trace_to_base(self) -> int:
-        return self.tower.trace_to_base(self)
-
-    def abs_trace(self) -> int:
-        return self.tower.F.trace_to_prime(self.trace_to_base())
-
     def as_base_field(self) -> int:
         """Coerce an element of F < E back to its F encoding."""
         if any(c != 0 for c in self.coeffs[1:]):
             raise ValueError("element does not lie in the base field")
         return self.coeffs[0]
-
-    def serialize(self) -> list[list[int]]:
-        """Nested coefficient lists, least significant first."""
-        F = self.tower.F
-        return [list(F.prime_digits(c)) for c in self.coeffs]
 
     def __str__(self) -> str:
         F = self.tower.F
@@ -340,14 +326,8 @@ class FieldTower:
         cs += [0] * (self.n - len(cs))
         return Element(self, tuple(int(c) for c in cs))
 
-    def zero_element(self) -> Element:
-        return Element(self, (0,) * self.n)
-
     def one_element(self) -> Element:
         return self.element([1])
-
-    def embed_base(self, c: int) -> Element:
-        return self.element([c])
 
     def gen_x(self) -> Element:
         """The class of x, a root of the extension modulus."""
@@ -466,12 +446,12 @@ class FieldTower:
         return r
 
     def frobenius(self, x: Element, i: int = 1) -> Element:
-        """x^(q^i) = (X^i)^sigma(x)."""
-        return self.sigma_apply((FPoly.make(self.F, [0] * (i % self.n) + [1]),), x)[0]
+        """x^(q^i) = (X^i)^sigma(x).
 
-    def trace_to_base(self, x: Element) -> int:
-        """Tr_(E/F)(x) = (1 + X + ... + X^(n-1))^sigma(x)."""
-        return self.sigma_apply((FPoly(self.F, (1,) * self.n),), x)[0].as_base_field()
+        No command calls it: the tests take it as the reference Frobenius
+        map, and the benchmark's declared `gf.frobenius` counter names it.
+        """
+        return self.sigma_apply((FPoly.make(self.F, [0] * (i % self.n) + [1]),), x)[0]
 
     # -- the sigma-action -----------------------------------------------------
     # E is an n a-dimensional space over GF(p); digit i a + j of an element is

@@ -2,6 +2,9 @@
 
 A PFF element is primitive and free over F with a free inverse; inverse
 primitivity comes along automatically, so verdicts track three flags.
+`pff_verdict` is the one test of a single element: primitivity reads
+`FieldTower.lth_power_primes`, freeness `fpoly.least_failing_factor`, and
+each flag comes with its least failing witness.
 Single-element checks and first-hit search run on plain tower arithmetic
 (they stay cheap even for GF(13^12)); every exhaustive job (`search_pff` in
 "all"/"count" mode, `count_pff_elements`, `brute_N`) goes through the
@@ -38,22 +41,8 @@ class PffVerdict:
         return self.is_primitive and self.is_free and self.inverse_free
 
 
-def is_m_free(x: Element, m: int) -> bool:
-    """Not an l-th power for any prime l | m; m must divide q^n - 1."""
-    if x.is_zero():
-        raise ZeroElement("freeness is only defined on E*")
-    N = x.tower.order - 1
-    if m < 1 or N % m:
-        raise NotADivisor(f"{m} does not divide q^n - 1 = {N}")
-    return _least_failing_prime(x, m) is None
-
-
 def _least_failing_prime(x: Element, m: int) -> int | None:
     return next(x.tower.lth_power_primes(x, arith.factor(m).primes), None)
-
-
-def is_primitive(x: Element) -> bool:
-    return is_m_free(x, x.tower.order - 1)
 
 
 def pff_verdict(x: Element) -> PffVerdict:

@@ -3,8 +3,11 @@
 Re-derives every published table figure from scratch and compares it with
 the recorded golden value.  Rows flagged with a discrepancy note must
 disagree in exactly the declared fields and match the frozen recomputation
-instead; anything else is a failure.  The same checks back the acceptance
-tests, which add the longer-running criteria on top.
+instead; anything else is a failure.  The `charsum` and `lemmas` sections
+also run the package's oracles: both forms of the character-sum count
+against brute-force counts, and the W-bound and primorial lemmas on exact
+integers.  The same checks back the acceptance tests, which add the
+longer-running criteria on top.
 """
 
 from __future__ import annotations
@@ -309,23 +312,60 @@ def nformula_suite(fields=NFORMULA_SPOTS) -> list[tuple[int, int, int, FPoly, FP
     return combos
 
 
-def check_nformula(fields=NFORMULA_SPOTS) -> list[CheckResult]:
+def _check_against_brute(formula, label: str, fields) -> list[CheckResult]:
     out = []
     for q, n, m, g, h in nformula_suite(fields):
-        val = charsum.N_formula(q, n, m, g, h)
+        val = formula(q, n, m, g, h)
         brute = pff.brute_N(q, n, m, g, h)
         try:
             ok = abs(val.im) < 1e-6 and val.as_integer() == brute
         except ValueError:
             ok = False
         out.append(CheckResult(
-            "charsum", f"N({q},{n};{m},{g},{h})", ok,
+            "charsum", f"{label}({q},{n};{m},{g},{h})", ok,
             f"formula {val.re:.6f}{val.im:+.6f}i vs count {brute}"))
     return out
 
 
+def check_nformula(fields=NFORMULA_SPOTS) -> list[CheckResult]:
+    return _check_against_brute(charsum.N_formula, "N", fields)
+
+
+# the per-character form costs a Kloosterman sum per (character, delta, delta)
+# triple, so it runs on the two spots where that stays well under a second
+NFORMULA_EXPANDED_SPOTS = [(5, 2), (2, 6)]
+
+
+def check_nformula_expanded() -> list[CheckResult]:
+    return _check_against_brute(charsum.N_formula_expanded, "N-expanded", NFORMULA_EXPANDED_SPOTS)
+
+
 def check_charsums() -> list[CheckResult]:
-    return check_charsum_lemmas() + check_nformula()
+    return check_charsum_lemmas() + check_nformula() + check_nformula_expanded()
+
+
+# ---------------------------------------------------------------------------
+# number-theoretic lemmas
+# ---------------------------------------------------------------------------
+
+# (k, num, den, excluded prime): W(h) = 2^omega(h) < h^(num/den) for every h
+# prime to the excluded prime with omega(h) >= k
+PRIMORIAL_BOUNDS = [(49, 1, 6, None), (52, 4, 25, 3), (175, 3, 25, 2)]
+# (m, bound): c_m < bound for the largest c_m, over odd m and over all m
+C_BOUNDS = [(3 * 5 * 7 * 11 * 13, Fraction(29, 10)), (2 * 3 * 5 * 7 * 11 * 13, Fraction(49, 10))]
+
+
+def check_lemmas() -> list[CheckResult]:
+    out = []
+    for k, num, den, exclude in PRIMORIAL_BOUNDS:
+        prime_to = f", prime to {exclude}" if exclude else ""
+        out.append(CheckResult("lemmas", f"W(h) < h^({num}/{den}) for omega(h) >= {k}{prime_to}",
+                               arith.check_primorial_bound(k, num, den, exclude)))
+    for m, bound in C_BOUNDS:
+        c = arith.c_bound(m)
+        out.append(CheckResult("lemmas", f"c_{m} < {float(bound)}", c.less_than(bound) and c.bound_holds(m),
+                               f"c = {float(c):.4f}, W({m}) <= c {m}^(1/4)"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +378,7 @@ SECTIONS = {
     "exceptions": check_exceptions,
     "counts": check_counts,
     "charsum": check_charsums,
+    "lemmas": check_lemmas,
 }
 
 

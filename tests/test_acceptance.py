@@ -240,9 +240,15 @@ def test_acceptance_9_w_bounds():
     rhs = (np.int64(1) << (4 * scount)) * m
     ok = lhs[1:] <= rhs[1:]
     assert ok.all(), np.nonzero(~ok)[0][:5]
-    # the primorial growth lemmas, exact integer comparisons
-    assert arith.check_primorial_bound(49, 1, 6)
-    assert arith.check_primorial_bound(52, 4, 25, exclude=3)
-    assert arith.check_primorial_bound(175, 3, 25, exclude=2)
+    # the primorial growth lemmas and the worst constants c_m, exact integer comparisons
+    checks = verify.verify_all("lemmas")
+    assert [c for c in checks if not c.ok] == []
+    assert [c.name for c in checks] == [
+        "W(h) < h^(1/6) for omega(h) >= 49",
+        "W(h) < h^(4/25) for omega(h) >= 52, prime to 3",
+        "W(h) < h^(3/25) for omega(h) >= 175, prime to 2",
+        "c_15015 < 2.9",
+        "c_30030 < 4.9",
+    ]
     _report(9, "W-bound lemmas", f"W(m) <= c_m m^(1/4) for all m <= 10^6; "
-            "primorial bounds at omega = 49, 52, 175 hold exactly", t0)
+            "primorial bounds at omega = 49, 52, 175 and c_m < 2.9 (odd m), 4.9 hold exactly", t0)

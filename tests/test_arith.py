@@ -161,8 +161,8 @@ def test_brent_rho_backtracks_when_a_batch_catches_every_prime():
 def test_multiplicative_functions():
     assert arith.radical(624) == 78
     assert arith.omega(624) == 3
-    assert arith.W(624) == 8
-    assert arith.W(1) == 1
+    assert factor(624).W == 8
+    assert factor(1).W == 1
     assert arith.phi(1) == 1
     assert arith.moebius(1) == 1
     assert arith.moebius(30) == -1
@@ -184,7 +184,7 @@ def test_radical_properties(n):
     r = arith.radical(n)
     assert n % r == 0
     assert arith.radical(r) == r
-    assert arith.W(n) == arith.W(r)
+    assert factor(n).W == factor(r).W
     assert arith.omega(n) == arith.omega(r)
 
 

@@ -4,10 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pffcert import arith, charsum as cs, pff, verify
+from pffcert import arith, charsum as cs, fpoly, pff, verify
 from pffcert.errors import InconsistentTables, NotADivisor
 from pffcert.fpoly import FPoly
-from pffcert.gf import tower_for
 from pffcert.sieve import compute_Q
 from pffcert.smallfield import engine_for
 
@@ -15,22 +14,25 @@ from conftest import poly
 
 
 def test_canonical_add_char():
-    t = tower_for(3, 4)
-    assert cs.canonical_add_char(t.zero_element()).value == 1
-    total = sum(cs.canonical_add_char(e).value for e in t.elements())
-    assert abs(total) < 1e-9
+    # chi(w) = exp(2 pi i AbsTr(w) / p), as the Gauss and Kloosterman sums read it
+    eng = engine_for(3, 4)
+    t = eng.tower
+    chi = cs._chi_values(eng)
+    assert chi[eng.index_of(t.element([0]))] == 1
+    assert abs(chi.sum()) < 1e-9
     rng = random.Random(2)
     for _ in range(10):
         x = t.element([rng.randrange(3) for _ in range(4)])
         y = t.element([rng.randrange(3) for _ in range(4)])
-        lhs = cs.canonical_add_char(x + y).value
-        rhs = cs.canonical_add_char(x).value * cs.canonical_add_char(y).value
+        lhs = chi[eng.index_of(x + y)]
+        rhs = chi[eng.index_of(x)] * chi[eng.index_of(y)]
         assert abs(lhs - rhs) < 1e-9
 
 
 def test_add_char_f_order():
-    t = tower_for(2, 6)
-    assert cs.add_char_f_order(t.zero_element()).is_one()
+    # chi_0 is trivial, so its F-order is 1
+    divisors, order_of = cs._f_order_table(2, 6)
+    assert divisors[order_of[0]].is_one()
     eng = engine_for(2, 6)
     for D in cs._all_monic_divisors(eng):
         assert len(cs.delta_set(eng, D)) == cs.poly_phi(eng, D)
@@ -57,8 +59,7 @@ def test_delta_set_invariant_under_base_scaling():
             for idx in list(members)[:6]:
                 d = eng.element_of(idx)
                 for c in range(1, q):
-                    scaled = d.scale(c)
-                    assert eng.index_of(scaled) in members
+                    assert eng.index_of(d * t.element([c])) in members
 
 
 def test_gauss_lemma():
@@ -76,8 +77,7 @@ def test_quadratic_gauss_sum_sign():
     # over the prime field: G^2 = p for p = 1 mod 4 and -p for p = 3 mod 4
     for p in (3, 5, 7, 11, 13):
         eng = engine_for(p, 1)
-        eta = cs.MulChar(eng, (p - 1) // 2)
-        assert eta.order == 2
+        eta = cs.MulChar(eng, (p - 1) // 2)  # the character of order 2
         G2 = cs.gauss(eta).value ** 2
         expected = p if p % 4 == 1 else -p
         assert abs(G2 - expected) < 1e-8
@@ -117,7 +117,7 @@ def test_restriction_to_base_field_is_trivial():
         for d in arith.squarefree_divisors(Q):
             for eta in cs.characters_of_order(eng, d):
                 for c in range(1, q):
-                    val = eta(eng.index_of(t.embed_base(c)))
+                    val = eta(eng.index_of(t.element([c])))
                     assert abs(val - 1) < 1e-9
 
 
@@ -130,13 +130,11 @@ def test_vinogradov_characteristic_function():
             vals = cs._char_tables(q, n).mult_row(cs._prime_key(eng, m))
             for idx in range(1, eng.size):
                 e = eng.element_of(idx)
-                expected = 1.0 if pff.is_m_free(e, m) else 0.0
+                expected = 1.0 if pff._least_failing_prime(e, m) is None else 0.0
                 assert abs(vals[idx - 1] - expected) < 1e-9
 
 
 def test_additive_characteristic_function():
-    from pffcert.fpoly import is_e_free
-
     # a > 1 and p | n exercise the digit-cube layout of the FFT
     for q, n in [(2, 6), (3, 4), (5, 2), (4, 3), (9, 2), (8, 2), (3, 6)]:
         eng = engine_for(q, n)
@@ -147,7 +145,7 @@ def test_additive_characteristic_function():
             vals = cs._char_tables(q, n).add_row(eng.radical_mask(g))
             for idx in range(eng.size):
                 e = eng.element_of(idx)
-                expected = 1.0 if is_e_free(e, g) else 0.0
+                expected = 1.0 if fpoly.least_failing_factor(e, g) is None else 0.0
                 assert abs(vals[idx] - expected) < 1e-8
 
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from pffcert import arith
 from pffcert.cli import main
 
 
@@ -72,6 +73,20 @@ def test_verify_poly_command():
     assert main(["verify", "2", "1", "0", "1"]) == 2  # reducible input
 
 
+def test_verify_factors_past_trial_division_by_rho(monkeypatch, capsys):
+    # 2^67 - 1 = 193707721 * 761838257287: trial division below 10^6 leaves a
+    # composite, so the primitivity verdict of x^67 + x^5 + x^2 + x + 1 needs rho
+    calls = []
+    rho = arith._pollard_brent
+    monkeypatch.setattr(arith, "_pollard_brent", lambda n, effort: calls.append(n) or rho(n, effort))
+    arith.factor.cache_clear()
+    coeffs = ["1" if i in (0, 1, 2, 5, 67) else "0" for i in range(68)]
+    assert main(["--json", "verify", "2", *coeffs]) == 3
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert calls == [2**67 - 1]
+    assert (results["is_primitive"], results["is_free"], results["inverse_free"]) == (True, False, True)
+
+
 def test_out_file(tmp_path):
     path = tmp_path / "report.json"
     code = main(["--json", "--out", str(path), "search", "2", "5", "--first"])
@@ -112,5 +127,5 @@ def test_verify_suite_whole():
 
     checks = verify.verify_all()
     assert [c for c in checks if not c.ok] == []
-    assert len(checks) == 355
+    assert len(checks) == 435
     assert {c.section for c in checks} == set(verify.SECTIONS)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pffcert import fpoly, gf
 from pffcert.errors import DivisionByZero, InvalidArgument, NotADivisor, NotIrreducible, NotPrime
 from pffcert.fpoly import FPoly, is_irreducible
 from pffcert.gf import (
@@ -103,6 +104,18 @@ def test_lex_least_irreducible_matches_the_unfiltered_loop(q):
     assert lex_least_irreducible(F, 1).coeffs == (0, 1)  # x
 
 
+def test_default_modulus_skips_pth_powers(monkeypatch):
+    # over GF(2048) every x^2 + c is a square: none of them takes a Ben-Or test
+    F = field_for_order(2048)
+    calls = []
+    ben_or = fpoly.is_irreducible
+    monkeypatch.setattr(fpoly, "is_irreducible", lambda f: calls.append(f) or ben_or(f))
+    t = gf._cached_tower.__wrapped__(F, 2, None)  # what tower_for(2048, 2) builds, uncached
+    assert len(calls) <= 2
+    assert t.ext_modulus.coeffs == (1, 1, 1)  # x^2 + x + 1
+    assert tower_for(2048, 2).ext_modulus == t.ext_modulus
+
+
 def test_gf4_multiplication():
     F = field_for_order(4)
     u, u1 = 2, 3
@@ -136,7 +149,7 @@ def test_inverse_and_power():
             continue
         assert x ** (5**4 - 1) == one
     with pytest.raises(DivisionByZero):
-        t.zero_element().inverse()
+        t.element([0]).inverse()
 
 
 def test_frobenius_basics():
@@ -145,24 +158,24 @@ def test_frobenius_basics():
     for _ in range(15):
         x = t.element([rng.randrange(4) for _ in range(3)])
         y = t.element([rng.randrange(4) for _ in range(3)])
-        assert x.frobenius(0) == x
-        assert x.frobenius(3) == x
-        assert (x + y).frobenius(1) == x.frobenius(1) + y.frobenius(1)
-        assert x.frobenius(1) == x**4
+        assert t.frobenius(x, 0) == x
+        assert t.frobenius(x, 3) == x
+        assert t.frobenius(x + y, 1) == t.frobenius(x, 1) + t.frobenius(y, 1)
+        assert t.frobenius(x, 1) == x**4
 
 
 def test_frobenius_fixes_exactly_F():
     for q, n in [(2, 10), (2, 12), (3, 4), (4, 3), (4, 6), (8, 2), (9, 2)]:
         t = tower_for(q, n)
-        fixed = sum(1 for e in t.elements() if e.frobenius(1) == e)
+        fixed = sum(1 for e in t.elements() if t.frobenius(e, 1) == e)
         assert fixed == q
 
 
 def _ref_sigma(h, x):
     """sum h_i x^(q^i), each conjugate by square-and-multiply, which shares
     no code with the tower's Frobenius matrix."""
-    q = x.tower.q
-    return sum(((x ** (q**i)).scale(c) for i, c in enumerate(h.coeffs)), x.tower.zero_element())
+    t = x.tower
+    return sum((x ** (t.q**i) * t.element([c]) for i, c in enumerate(h.coeffs)), t.element([0]))
 
 
 @pytest.mark.parametrize("q,n", [(2, 8), (3, 5), (4, 4), (9, 3), (25, 2)])
@@ -187,10 +200,16 @@ def test_sigma_images_match_the_conjugate_sums(q, n):
         assert t.sigma_apply(hs, x) == [_ref_sigma(h, x) for h in hs]
 
 
+def _trace(x):
+    """Tr_(E/F)(x) = (1 + X + ... + X^(n-1))^sigma(x), in F."""
+    t = x.tower
+    return t.sigma_apply((FPoly(t.F, (1,) * t.n),), x)[0].as_base_field()
+
+
 def test_trace_examples():
     # T(1) = n * 1 in F
     t = tower_for(5, 4)
-    assert t.one_element().trace_to_base() == 4 % 5
+    assert _trace(t.one_element()) == 4 % 5
     # GF(9)/GF(3) with u^2-u-1 = 0: T(u) = u + u^3 = 1
     t9 = tower_for(9, 1)
     assert t9.F.trace_to_prime(3) == 1  # 3 encodes u
@@ -200,20 +219,19 @@ def test_trace_surjective_and_linear():
     rng = random.Random(5)
     for q, n in [(2, 10), (3, 4), (4, 3), (9, 2)]:
         t = tower_for(q, n)
-        images = {e.trace_to_base() for e in t.elements()}
+        images = {_trace(e) for e in t.elements()}
         assert len(images) == q
         for _ in range(10):
             x = t.element([rng.randrange(q) for _ in range(n)])
             y = t.element([rng.randrange(q) for _ in range(n)])
-            assert (x + y).trace_to_base() == t.F.add(x.trace_to_base(), y.trace_to_base())
+            assert _trace(x + y) == t.F.add(_trace(x), _trace(y))
             c = rng.randrange(q)
-            assert x.scale(c).trace_to_base() == t.F.mul(c, x.trace_to_base())
+            assert _trace(x * t.element([c])) == t.F.mul(c, _trace(x))
 
 
 def test_element_serialization():
-    t = tower_for(9, 2)
-    x = t.element([3, 4])  # u and u+1 over GF(9)
-    assert x.serialize() == [[0, 1], [1, 1]]
+    f = FPoly(field_for_order(9), (3, 4))  # coefficients u and u+1 over GF(9)
+    assert f.serialize() == [[0, 1], [1, 1]]
 
 
 def test_gf9_format():
@@ -286,7 +304,7 @@ def test_prime_base_products_match_the_schoolbook(p):
                 a[rng.randrange(n)] = 0  # a zero coefficient takes the skip
             x, y = t.element(a), t.element(b)
             assert (x * y).coeffs == _ref_mulmod(a, b, f, p)
-            assert x.frobenius(1).coeffs == _ref_powmod(tuple(a), p, f, p)
+            assert t.frobenius(x, 1).coeffs == _ref_powmod(tuple(a), p, f, p)
 
 
 @pytest.mark.parametrize("p", [2, 13, 127, 2**61 - 1])
@@ -321,7 +339,7 @@ def _check_base_field_pair(F, x, y):
 def test_base_field_tables_match_the_digit_arithmetic(q):
     F = field_for_order(q)
     assert F._mul_table is not None and (F._add_table is not None) == (F.p != 2)
-    zero = F.tower.zero_element()
+    zero = F.tower.element([0])
     for x in range(q):
         assert F.neg(x) == F.pack((zero - _lift(F, x)).coeffs)
         if x:
@@ -362,7 +380,7 @@ def _ref_norm(x):
     """x * x^q * ... * x^(q^(n-1)), by Frobenius maps and products."""
     acc = x
     for _ in range(x.tower.n - 1):
-        acc = acc.frobenius(1) * x
+        acc = x.tower.frobenius(acc, 1) * x
     return acc.as_base_field()
 
 
@@ -370,7 +388,7 @@ def _ref_norm(x):
 def test_norm_is_the_product_of_conjugates(q, n):
     t = tower_for(q, n)
     rng = random.Random(n)
-    xs = [t.zero_element(), t.one_element(), t.gen_x()]
+    xs = [t.element([0]), t.one_element(), t.gen_x()]
     xs += [t.element([rng.randrange(q) for _ in range(n)]) for _ in range(20)]
     for x in xs:
         assert t.norm(x) == _ref_norm(x), x

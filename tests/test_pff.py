@@ -5,11 +5,12 @@ import pytest
 
 from pffcert import arith, fpoly, pff, witnesses
 from pffcert.errors import BudgetExceeded, NotADivisor, NotIrreducible, WrongDegree, ZeroElement
-from pffcert.fpoly import FPoly, reciprocal
+from pffcert.fpoly import FPoly
 from pffcert.gf import FieldTower, PolyExtField, field_for_order, tower_for, tower_mod
 from pffcert.smallfield import engine_for
 
 from conftest import poly
+from oracles import reciprocal
 
 
 def test_is_m_free_basics():
@@ -19,12 +20,10 @@ def test_is_m_free_basics():
     for e in t.elements():
         if e.is_zero():
             continue
-        assert pff.is_m_free(e, 1)
-    assert not pff.is_m_free(one, N)
+        assert pff._least_failing_prime(e, 1) is None
+    assert pff._least_failing_prime(one, N) == 2
     with pytest.raises(ZeroElement):
-        pff.is_m_free(t.zero_element(), 2)
-    with pytest.raises(NotADivisor):
-        pff.is_m_free(one, 7)
+        pff.pff_verdict(t.element([0]))
 
 
 def test_m_free_matches_inverse():
@@ -33,7 +32,7 @@ def test_m_free_matches_inverse():
         if e.is_zero():
             continue
         for m in (3, 7, 9, 21, 63):
-            assert pff.is_m_free(e, m) == pff.is_m_free(e.inverse(), m)
+            assert pff._least_failing_prime(e, m) == pff._least_failing_prime(e.inverse(), m)
 
 
 @pytest.mark.parametrize("q,n", [(7, 4), (13, 3), (9, 3)])
@@ -58,13 +57,13 @@ def test_primitive_counts():
     assert int(eng54.primitive_mask().sum()) == arith.phi(624)
     assert arith.phi(624) // 4 == 48
     t = tower_for(11, 2)
-    assert not pff.is_primitive(t.one_element())
+    assert not pff.pff_verdict(t.one_element()).is_primitive
 
 
 def test_pff_verdict_subfield_and_table_roots():
     t = tower_for(4, 5)
     for c in range(1, 4):
-        v = pff.pff_verdict(t.embed_base(c))
+        v = pff.pff_verdict(t.element([c]))
         assert not v.is_primitive
         assert v.witnesses["primitivity"] is not None
     # the degree-5 entry over GF(4): x^5+ux^4+ux^3+x+u+1

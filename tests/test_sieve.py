@@ -275,7 +275,7 @@ def test_lower_bound_soundness_spot():
             h = _poly_prod(F, [f for f in factors if rng.random() < 0.6])
             count = pff.brute_N(q, n, m, g, h)
             scale = _theta(m) * _Theta(eng, g) * _Theta(eng, h)
-            Wm = arith.W(m)
+            Wm = arith.factor(m).W
             Wg = 2 ** sum(1 for f in factors if (g % f).is_zero())
             Wh = 2 ** sum(1 for f in factors if (h % f).is_zero())
             # count >= scale * (q^n - 2 W q^(n/2)): exact comparison via squaring

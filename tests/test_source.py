@@ -32,6 +32,46 @@ def test_the_number_and_polynomial_layers_import_no_numpy():
         assert not [m for m in imported if m.split(".")[0] == "numpy"], f"{name} imports numpy"
 
 
+# no command calls it, but the benchmark's declared `gf.frobenius` counter names it
+_UNREFERENCED = {("gf.py", "FieldTower.frobenius")}
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, def node) for every function and method under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_function_is_referenced_from_the_package():
+    # a function that no other code of the package names is reached by no
+    # command: it is a second entry point, or an oracle that belongs to
+    # verify-suite or the tests; the exports in __init__ do not count
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    uses = {}  # name -> [(file, line)] of every Name or Attribute reading it
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                uses.setdefault(name, []).append((fname, node.lineno))
+    unreferenced = []
+    for fname, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            if node.name.startswith("__") and node.name.endswith("__") or (fname, qualname) in _UNREFERENCED:
+                continue
+            outside = [(f, line) for f, line in uses.get(node.name, [])
+                       if f != fname or not node.lineno <= line <= node.end_lineno]
+            if not outside:
+                unreferenced.append(f"{fname}:{qualname}")
+    assert not unreferenced, f"functions that no other code of the package names: {unreferenced}"
+
+
 def _declared_metrics() -> list[str]:
     return [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
 
